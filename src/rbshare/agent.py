@@ -8,7 +8,8 @@ taken action's output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class MLP:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = activations[-1] @ w + b
             if i != last:
-                z = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             activations.append(z)
         return activations
 
@@ -82,7 +83,12 @@ class MLP:
             grads_w[i] = acts[i].T @ delta
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (acts[i] > 0)
+                # (W @ delta.T).T is delta @ W.T by a faster GEMM, with the
+                # same bits on OpenBLAS. It is F-ordered; writing it into a
+                # C-ordered array keeps the order in which the bias
+                # gradient's column sum adds.
+                delta = np.multiply((self.weights[i] @ delta.T).T, acts[i] > 0,
+                                    out=np.empty_like(acts[i]))
         return loss, grads_w, grads_b
 
     def train_minibatch(self, states, actions, targets, learning_rate: float) -> float:
@@ -91,8 +97,10 @@ class MLP:
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite training loss: {loss}")
         for w, b, gw, gb in zip(self.weights, self.biases, grads_w, grads_b):
-            w -= learning_rate * gw
-            b -= learning_rate * gb
+            gw *= learning_rate
+            w -= gw
+            gb *= learning_rate
+            b -= gb
         return loss
 
     def copy_from(self, other: "MLP"):
@@ -119,14 +127,15 @@ class MLP:
 
     @classmethod
     def load(cls, path) -> "MLP":
-        data = np.load(path)
-        if int(data["format_version"][0]) != 1:
-            raise ValueError("unsupported checkpoint version")
-        sizes = [int(s) for s in data["layer_sizes"]]
-        net = cls(sizes, rng=None)
-        for i in range(len(sizes) - 1):
-            net.weights[i] = data[f"w{i}"].astype(net.dtype)
-            net.biases[i] = data[f"b{i}"].astype(net.dtype)
+        """Rebuilds the net in the dtype of its stored arrays."""
+        with np.load(path) as data:
+            if int(data["format_version"][0]) != 1:
+                raise ValueError("unsupported checkpoint version")
+            sizes = [int(s) for s in data["layer_sizes"]]
+            net = cls(sizes, rng=None, dtype=data["w0"].dtype.type)
+            for i in range(len(sizes) - 1):
+                net.weights[i] = data[f"w{i}"]
+                net.biases[i] = data[f"b{i}"]
         return net
 
 
@@ -137,43 +146,51 @@ def sync_target(main: MLP, target: MLP):
 # -- replay memory ---------------------------------------------------------------
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
+class Batch(NamedTuple):
+    """A minibatch of transitions, one row per transition."""
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminal: np.ndarray
 
 
 class ReplayMemory:
-    """Fixed-capacity ring buffer with uniform minibatch sampling."""
+    """Fixed-capacity ring buffer with uniform minibatch sampling.
 
-    def __init__(self, capacity: int = 100_000):
+    Transitions live in preallocated arrays, one row each. The arrays are
+    allocated empty, so only the rows written ever take up memory.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, dtype=np.float32):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buf: list[Transition] = []
-        self._head = 0
+        self.states = np.empty((capacity, state_dim), dtype=dtype)
+        self.next_states = np.empty((capacity, state_dim), dtype=dtype)
+        self.actions = np.empty(capacity, dtype=np.int64)
+        self.rewards = np.empty(capacity, dtype=np.float64)
+        self.terminal = np.empty(capacity, dtype=bool)
+        self._pushed = 0
 
-    def push(self, transition: Transition):
-        if len(self._buf) < self.capacity:
-            self._buf.append(transition)
-        else:
-            self._buf[self._head] = transition
-            self._head = (self._head + 1) % self.capacity
+    def push(self, state, action: int, reward: float, next_state, terminal: bool):
+        i = self._pushed % self.capacity    # once full, the oldest row
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.terminal[i] = terminal
+        self._pushed += 1
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return min(self._pushed, self.capacity)
 
-    def __contains__(self, transition: Transition) -> bool:
-        return any(t is transition for t in self._buf)
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if batch_size > len(self._buf):
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        if batch_size > len(self):
             raise ValueError("not enough transitions to sample a minibatch")
-        idx = rng.integers(0, len(self._buf), size=batch_size)
-        return [self._buf[i] for i in idx]
+        idx = rng.integers(0, len(self), size=batch_size)
+        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
+                     self.next_states[idx], self.terminal[idx])
 
 
 # -- schedules / action selection -----------------------------------------------
@@ -197,13 +214,10 @@ def select_action(net: MLP, state: np.ndarray, epsilon: float,
     return int(np.argmax(net.forward(state)))  # argmax ties -> lowest index
 
 
-def dqn_targets(batch: list[Transition], target_net: MLP, gamma: float) -> np.ndarray:
+def dqn_targets(batch: Batch, target_net: MLP, gamma: float) -> np.ndarray:
     """y_j = r_j (+ gamma * max_a Qhat(s', a) when non-terminal)."""
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    terminal = np.array([t.terminal for t in batch], dtype=bool)
-    next_states = np.stack([t.next_state for t in batch])
-    boot = target_net.forward(next_states).max(axis=1)
-    return rewards + gamma * np.where(terminal, 0.0, boot)
+    boot = target_net.forward(batch.next_states).max(axis=1)
+    return batch.rewards + gamma * np.where(batch.terminal, 0.0, boot)
 
 
 # -- agents / policies ------------------------------------------------------------
@@ -231,7 +245,12 @@ class AgentConfig:
 
 
 class DQNPolicy:
-    """ε-greedy DQN with replay memory and a periodically synced target net."""
+    """ε-greedy DQN with replay memory and a periodically synced target net.
+
+    The policy encodes the environment's state itself, once per RL step: the
+    state `observe` encodes after a step is the one the next `act` decides on.
+    A terminal step drops it, so an episode's first state is encoded afresh.
+    """
 
     def __init__(self, state_dim: int, n_actions: int, config: AgentConfig,
                  init_rng: np.random.Generator, explore_rng: np.random.Generator,
@@ -240,7 +259,8 @@ class DQNPolicy:
         self.config = config
         self.net = MLP(sizes, rng=init_rng, init_std=config.init_std, dtype=dtype)
         self.target = self.net.clone()
-        self.memory = ReplayMemory(config.replay_capacity)
+        self.memory = ReplayMemory(config.replay_capacity, state_dim, dtype)
+        self.state: np.ndarray | None = None     # encoded current state
         self.explore_rng = explore_rng
         self.global_step = 0            # drives the ε schedule
         self.train_steps = 0
@@ -255,21 +275,21 @@ class DQNPolicy:
         return epsilon_value(self.global_step, c.eps0, c.eps_inf, c.eps_decay_steps)
 
     def act(self, env: SchedulingEnv) -> int:
-        return select_action(self.net, env.encode(), self.epsilon, self.explore_rng)
+        if self.state is None:
+            self.state = env.encode().astype(self.net.dtype)
+        return select_action(self.net, self.state, self.epsilon, self.explore_rng)
 
-    def observe(self, state, action, reward, next_state, terminal):
-        self.memory.push(Transition(
-            np.asarray(state, dtype=self.net.dtype), action, reward,
-            np.asarray(next_state, dtype=self.net.dtype), terminal,
-        ))
+    def observe(self, env: SchedulingEnv, action: int, reward: float, terminal: bool):
+        next_state = env.encode().astype(self.net.dtype)
+        self.memory.push(self.state, action, reward, next_state, terminal)
+        self.state = None if terminal else next_state
         self.global_step += 1
         if self.frozen or len(self.memory) < self.config.min_observations:
             return
         batch = self.memory.sample(self.config.minibatch, self.explore_rng)
         targets = dqn_targets(batch, self.target, self.config.gamma)
-        states = np.stack([t.state for t in batch])
-        actions = np.array([t.action for t in batch])
-        self.net.train_minibatch(states, actions, targets, self.config.learning_rate)
+        self.net.train_minibatch(batch.states, batch.actions, targets,
+                                 self.config.learning_rate)
         self.train_steps += 1
         if self.train_steps % self.config.target_sync == 0:
             sync_target(self.net, self.target)
@@ -314,7 +334,8 @@ def random_policy(rng: np.random.Generator) -> CallablePolicy:
 
 
 def fixed_split(policy, licensed_rbs: int):
-    """Reserve RBs above `licensed_rbs` permanently for unlicensed use."""
+    """Reserve RBs above `licensed_rbs` permanently for unlicensed use.
+    `policy` is a baseline that keeps no state, so it observes nothing."""
 
     class _Split:
         def act(self, env: SchedulingEnv) -> int:
@@ -323,6 +344,6 @@ def fixed_split(policy, licensed_rbs: int):
             return policy.act(env) if env.psi <= licensed_rbs else 0
 
         def observe(self, *args):
-            policy.observe(*args)
+            pass
 
     return _Split()

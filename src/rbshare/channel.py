@@ -8,7 +8,7 @@ pure given the rng and safe to use from parallel runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
-from pathlib import Path
 
 from rbshare import harness
-from rbshare.harness import ConfigError, ExperimentConfig
+from rbshare.agent import TrainingDiverged
+from rbshare.harness import ConfigError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,6 +57,9 @@ def main(argv=None) -> int:
             print(harness.compare(args.dirs))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except TrainingDiverged as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
         return 1
     return 0
 

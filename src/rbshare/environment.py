@@ -10,7 +10,7 @@ latency pressure factor, emitted on the last RB of each time step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class BufferEntry:
 
 @dataclass
 class StepOutcome:
-    next_state: np.ndarray
     reward: float
     terminal: bool
     info: dict
@@ -100,7 +99,7 @@ class SchedulingEnv:
 
     # -- episode lifecycle ---------------------------------------------------
 
-    def reset(self) -> np.ndarray:
+    def reset(self):
         self.buffer: list[BufferEntry | None] = [None] * self.L
         self.v = np.zeros(self.R, dtype=np.int64)
         self.mask = np.zeros(self.R, dtype=bool)
@@ -122,7 +121,6 @@ class SchedulingEnv:
         self._pending = list(reversed(arrivals))  # pop() yields earliest first
         self.mask_grid: list[np.ndarray] = []
         self.v_history: list[np.ndarray] = []
-        return self.encode()
 
     @property
     def psi(self) -> int:
@@ -278,7 +276,7 @@ class SchedulingEnv:
 
         self.rl_step += 1
         self.done = self.rl_step >= self.steps_per_episode * self.R
-        return StepOutcome(self.encode(), reward, self.done, info)
+        return StepOutcome(reward, self.done, info)
 
     def _advance_time_step(self, info: dict):
         """End-of-step housekeeping: TTLs, misses, admissions, fading redraws."""

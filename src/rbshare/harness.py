@@ -8,7 +8,6 @@ config + seed reproduces a run bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -207,13 +206,12 @@ def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: Experiment
     for _ in range(config.episodes):
         if config.max_rl_steps is not None and steps_done >= config.max_rl_steps:
             break
-        state = env.reset()
+        env.reset()
         for _ in range(config.steps_per_episode * env.R):
             action = policy.act(env)
             out = env.step(action)
-            policy.observe(state, action, out.reward, out.next_state, out.terminal)
+            policy.observe(env, action, out.reward, out.terminal)
             metrics.record(out.info)
-            state = out.next_state
             steps_done += 1
     return steps_done
 

@@ -98,26 +98,37 @@ class TestGradients:
                                 np.array([0.0]), 0.1)
 
 
+def batch_of(*transitions):
+    """A minibatch from (state, action, reward, next_state, terminal) tuples."""
+    states, actions, rewards, next_states, terminal = zip(*transitions)
+    return ag.Batch(np.stack(states), np.array(actions), np.array(rewards),
+                    np.stack(next_states), np.array(terminal))
+
+
+def push_numbered(mem, n, dim=1):
+    """Push transitions 0..n-1; transition i carries i in every field."""
+    for i in range(n):
+        mem.push(np.full(dim, i), i, float(i), np.full(dim, -i), i % 2 == 1)
+
+
 class TestTargetsAndSync:
     def test_terminal_target(self):
         net = ag.MLP([3, 2], rng=np.random.default_rng(3))
-        t = ag.Transition(np.zeros(3), 0, -1.0, np.ones(3), True)
-        assert ag.dqn_targets([t], net, 0.99)[0] == -1.0
+        batch = batch_of((np.zeros(3), 0, -1.0, np.ones(3), True))
+        assert ag.dqn_targets(batch, net, 0.99)[0] == -1.0
 
     def test_gamma_zero_is_myopic(self):
         net = ag.MLP([3, 2], rng=np.random.default_rng(4))
-        t = ag.Transition(np.zeros(3), 1, 0.7, np.ones(3), False)
-        assert ag.dqn_targets([t], net, 0.0)[0] == pytest.approx(0.7)
+        batch = batch_of((np.zeros(3), 1, 0.7, np.ones(3), False))
+        assert ag.dqn_targets(batch, net, 0.0)[0] == pytest.approx(0.7)
 
     def test_two_state_chain_by_hand(self):
         # states A=[1,0], B=[0,1]; linear net so Q(s, a) = w[argnonzero(s), a]
         net = ag.MLP([2, 2])
         net.weights[0][:] = [[1.0, 2.0], [3.0, 0.5]]
         a_state, b_state = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        batch = [
-            ag.Transition(a_state, 0, 1.0, b_state, False),
-            ag.Transition(b_state, 1, 0.0, a_state, False),
-        ]
+        batch = batch_of((a_state, 0, 1.0, b_state, False),
+                         (b_state, 1, 0.0, a_state, False))
         y = ag.dqn_targets(batch, net, 0.9)
         assert y[0] == pytest.approx(1.0 + 0.9 * 3.0)  # max Q(B, .) = 3
         assert y[1] == pytest.approx(0.0 + 0.9 * 2.0)  # max Q(A, .) = 2
@@ -149,15 +160,16 @@ class TestTargetsAndSync:
         pol = ag.DQNPolicy(env.state_dim(), env.L + 1, cfg,
                            np.random.default_rng(7), np.random.default_rng(8))
         synced_at = []
-        state = env.encode()
         for i in range(1, 16):
-            out = env.step(0)
-            pol.observe(state, 0, out.reward, out.next_state, out.terminal)
-            state = out.next_state
+            action = pol.act(env)
+            out = env.step(action)
+            pol.observe(env, action, out.reward, out.terminal)
             if all(np.array_equal(a, b) for a, b in
                    zip(pol.net.weights, pol.target.weights)):
                 synced_at.append(pol.train_steps)
-        assert any(s % cfg.target_sync == 0 and s > 0 for s in synced_at)
+        assert pol.train_steps == 15 - cfg.min_observations + 1
+        multiples = set(range(cfg.target_sync, pol.train_steps + 1, cfg.target_sync))
+        assert multiples and multiples <= set(synced_at)
 
 
 class TestEpsilon:
@@ -196,30 +208,42 @@ class TestEpsilon:
 
 class TestReplay:
     def test_eviction_order(self):
-        mem = ag.ReplayMemory(capacity=5)
-        items = [ag.Transition(np.zeros(1), i, 0.0, np.zeros(1), False)
-                 for i in range(6)]
-        for t in items:
-            mem.push(t)
-        assert items[0] not in mem
-        assert all(t in mem for t in items[1:])
+        mem = ag.ReplayMemory(capacity=5, state_dim=1)
+        push_numbered(mem, 6)
         assert len(mem) == 5
+        # The sixth transition overwrote the oldest one, in row 0.
+        assert sorted(mem.actions) == [1, 2, 3, 4, 5]
+        assert mem.actions[0] == 5
+        mem.push(np.full(1, 6), 6, 6.0, np.full(1, -6), False)
+        assert sorted(mem.actions) == [2, 3, 4, 5, 6]
+        assert len(mem) == 5
+
+    def test_rows_stay_aligned(self):
+        mem = ag.ReplayMemory(capacity=7, state_dim=3)
+        push_numbered(mem, 12, dim=3)
+        batch = mem.sample(7, np.random.default_rng(16))
+        i = batch.actions
+        assert set(i) <= set(range(5, 12))
+        assert np.array_equal(batch.states, np.repeat(i[:, None], 3, axis=1))
+        assert np.array_equal(batch.next_states, -batch.states)
+        assert np.array_equal(batch.rewards, i.astype(float))
+        assert np.array_equal(batch.terminal, i % 2 == 1)
+        assert batch.states.dtype == np.float32 and batch.states.flags.c_contiguous
 
     def test_uniform_sampling(self):
         from scipy.stats import chisquare
-        mem = ag.ReplayMemory(capacity=20)
-        for i in range(20):
-            mem.push(ag.Transition(np.zeros(1), i, 0.0, np.zeros(1), False))
+        mem = ag.ReplayMemory(capacity=20, state_dim=1)
+        push_numbered(mem, 20)
         rng = np.random.default_rng(12)
         counts = np.zeros(20)
         for _ in range(2000):
-            for t in mem.sample(10, rng):
-                counts[t.action] += 1
+            for action in mem.sample(10, rng).actions:
+                counts[action] += 1
         assert chisquare(counts).pvalue > 0.01
 
     def test_minibatch_needs_enough(self):
-        mem = ag.ReplayMemory(capacity=10)
-        mem.push(ag.Transition(np.zeros(1), 0, 0.0, np.zeros(1), False))
+        mem = ag.ReplayMemory(capacity=10, state_dim=1)
+        push_numbered(mem, 1)
         with pytest.raises(ValueError):
             mem.sample(2, np.random.default_rng(13))
 
@@ -330,3 +354,12 @@ class TestCheckpoint:
         loaded = ag.MLP.load(path)
         x = rng.normal(size=(3, 6))
         assert np.array_equal(net.forward(x), loaded.forward(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_keeps_dtype_and_bits(self, tmp_path, dtype):
+        net = ag.MLP([4, 3, 2], rng=np.random.default_rng(17), dtype=dtype)
+        net.save(tmp_path / "net.npz")
+        loaded = ag.MLP.load(tmp_path / "net.npz")
+        assert loaded.dtype == dtype
+        for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+            assert b.dtype == dtype and b.tobytes() == a.tobytes()

@@ -2,9 +2,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbshare import cli, harness
+from rbshare.environment import SchedulingEnv
 from rbshare.harness import ConfigError, ExperimentConfig, load_config
 
 
@@ -111,6 +113,62 @@ class TestRun:
             harness.run(cfg)
 
 
+@pytest.fixture
+def encodes(monkeypatch):
+    """The RL step (`env.rl_step`) of every `SchedulingEnv.encode` call."""
+    calls = []
+    encode = SchedulingEnv.encode
+
+    def counted(env, *args, **kwargs):
+        calls.append(env.rl_step)
+        return encode(env, *args, **kwargs)
+
+    monkeypatch.setattr(SchedulingEnv, "encode", counted)
+    return calls
+
+
+class TestEncodeOnDemand:
+    @pytest.mark.parametrize("policy", ["mt", "ml", "random", "mt+f", "ml+f"])
+    def test_baselines_never_encode(self, encodes, policy):
+        artifacts = harness.run(tiny_config(policy=policy))
+        assert artifacts.train_metrics.time_steps == 2 * 40
+        assert encodes == []
+
+    @pytest.mark.parametrize("freeze_eval", [False, True])
+    def test_dqn_encodes_once_per_step(self, encodes, monkeypatch, freeze_eval):
+        policies = []
+        make_policy = harness.make_policy
+
+        def kept_policy(*args):
+            policies.append(make_policy(*args))
+            return policies[-1]
+
+        monkeypatch.setattr(harness, "make_policy", kept_policy)
+        cfg = tiny_config(policy="dqn")
+        cfg.eval_set, cfg.freeze_eval = True, freeze_eval
+        harness.run(cfg)
+        (policy,) = policies
+        steps = cfg.steps_per_episode * cfg.channel.num_rbs
+        # Per episode of either set: one fresh encode before the first step
+        # (rl_step 0), then one after each step.
+        assert encodes == list(range(steps + 1)) * (2 * cfg.episodes)
+        assert policy.train_steps > 0
+
+        mem = policy.memory
+        n = len(mem)
+        assert n == 2 * cfg.episodes * steps
+        ends = np.flatnonzero(mem.terminal[:n])
+        assert list(ends) == [steps * (e + 1) - 1 for e in range(2 * cfg.episodes)]
+        within = ~mem.terminal[:n - 1]
+        assert np.array_equal(mem.next_states[:n - 1][within], mem.states[1:n][within])
+        # The first state of an episode is the freshly reset environment:
+        # an empty buffer, zero continuity counters, the first RB.
+        fresh = np.zeros(mem.states.shape[1], dtype=np.float32)
+        fresh[-1] = 1 / cfg.channel.num_rbs
+        for first in [0, *(ends[:-1] + 1)]:
+            assert np.array_equal(mem.states[first], fresh)
+
+
 class TestCompare:
     def test_single_run_table(self, tmp_path):
         harness.run(tiny_config(), out_dir=tmp_path / "r0")
@@ -147,6 +205,15 @@ class TestCli:
         cfg = write_config(tmp_path, "nonsense = 1\n")
         assert cli.main(["run", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_divergence_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "agent.learning_rate = 1e6\n"
+                                     "agent.min_observations = 40\n"
+                                     "run.episodes = 1\nrun.steps_per_episode = 20\n"
+                                     "run.eval_set = false\nagent.hidden = 16\n")
+        assert cli.main(["run", str(cfg)]) == 1
+        assert "error: training diverged: non-finite training loss" in capsys.readouterr().err
 
     def test_compare_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "run.episodes = 1\nrun.steps_per_episode = 30\n"
