@@ -71,24 +71,27 @@ class MLP:
         targets = np.asarray(targets, dtype=self.dtype)
         acts = self._forward_cached(states)
         q = acts[-1][np.arange(len(actions)), actions]
-        loss = float(np.sum((targets - q) ** 2))
-
-        # dL/d(output) is nonzero only at the taken actions.
-        delta = np.zeros_like(acts[-1])
-        delta[np.arange(len(actions)), actions] = -2.0 * (targets - q)
-
         grads_w = [np.empty(0)] * len(self.weights)
         grads_b = [np.empty(0)] * len(self.biases)
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                # (W @ delta.T).T is delta @ W.T by a faster GEMM, with the
-                # same bits on OpenBLAS. It is F-ordered; writing it into a
-                # C-ordered array keeps the order in which the bias
-                # gradient's column sum adds.
-                delta = np.multiply((self.weights[i] @ delta.T).T, acts[i] > 0,
-                                    out=np.empty_like(acts[i]))
+        # A diverging net overflows here; train_minibatch turns the
+        # non-finite loss into TrainingDiverged, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = float(np.sum((targets - q) ** 2))
+
+            # dL/d(output) is nonzero only at the taken actions.
+            delta = np.zeros_like(acts[-1])
+            delta[np.arange(len(actions)), actions] = -2.0 * (targets - q)
+
+            for i in range(len(self.weights) - 1, -1, -1):
+                grads_w[i] = acts[i].T @ delta
+                grads_b[i] = delta.sum(axis=0)
+                if i > 0:
+                    # (W @ delta.T).T is delta @ W.T by a faster GEMM, with
+                    # the same bits on OpenBLAS. It is F-ordered; writing it
+                    # into a C-ordered array keeps the order in which the
+                    # bias gradient's column sum adds.
+                    delta = np.multiply((self.weights[i] @ delta.T).T, acts[i] > 0,
+                                        out=np.empty_like(acts[i]))
         return loss, grads_w, grads_b
 
     def train_minibatch(self, states, actions, targets, learning_rate: float) -> float:
@@ -238,10 +241,20 @@ class AgentConfig:
     eps_decay_steps: int = 80_000
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        checks = (
+            ("gamma", 0.0 < self.gamma <= 1.0, "must be in (0, 1]"),
+            ("learning_rate", self.learning_rate > 0, "must be positive"),
+            ("replay_capacity", self.replay_capacity >= 1, "must be >= 1"),
+            ("target_sync", self.target_sync >= 1, "must be >= 1"),
+            ("minibatch", 1 <= self.minibatch <= self.min_observations,
+             "must be in 1..agent.min_observations"),
+            ("eps0", 0.0 <= self.eps0 <= 1.0, "must be in [0, 1]"),
+            ("eps_inf", 0.0 <= self.eps_inf <= 1.0, "must be in [0, 1]"),
+            ("eps_decay_steps", self.eps_decay_steps >= 1, "must be >= 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"agent.{name}: {rule}, got {getattr(self, name)!r}")
 
 
 class DQNPolicy:
@@ -333,17 +346,13 @@ def random_policy(rng: np.random.Generator) -> CallablePolicy:
     return CallablePolicy(lambda env: int(rng.integers(0, env.L + 1)))
 
 
-def fixed_split(policy, licensed_rbs: int):
+def fixed_split(policy, licensed_rbs: int) -> CallablePolicy:
     """Reserve RBs above `licensed_rbs` permanently for unlicensed use.
     `policy` is a baseline that keeps no state, so it observes nothing."""
 
-    class _Split:
-        def act(self, env: SchedulingEnv) -> int:
-            if not 1 <= licensed_rbs <= env.R:
-                raise ValueError("licensed_rbs must be in 1..R")
-            return policy.act(env) if env.psi <= licensed_rbs else 0
+    def act(env: SchedulingEnv) -> int:
+        if not 1 <= licensed_rbs <= env.R:
+            raise ValueError("licensed_rbs must be in 1..R")
+        return policy.act(env) if env.psi <= licensed_rbs else 0
 
-        def observe(self, *args):
-            pass
-
-    return _Split()
+    return CallablePolicy(act)

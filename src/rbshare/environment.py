@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +35,18 @@ class BufferEntry:
     delivered_bits: int = 0
 
 
-@dataclass
-class StepOutcome:
+class StepOutcome(NamedTuple):
+    """What one RL step did: the only record the accounting reads."""
+
     reward: float
     terminal: bool
-    info: dict
+    delivered_bits: int = 0
+    alloc_se: float | None = None   # achievable SE of an attempted allocation
+    accepted: int = 0               # arrivals admitted at the end of the time step
+    dropped: int = 0                # arrivals turned away by a full buffer
+    # Requests that left the buffer: (service id, latency, missed, delivered bits).
+    resolved: tuple | list = ()
+    v_final: np.ndarray | None = None   # continuity counters, last RB of a time step
 
 
 def aggregate_reward(
@@ -108,13 +116,6 @@ class SchedulingEnv:
         self.r1 = 0.0
         self.r2 = 0.0
         self.done = False
-        self.total_delivered_bits = 0
-        self.total_missed_bits = 0          # bits credited to later-missed requests
-        self.arrivals_count = 0
-        self.accepted_count = 0
-        self.dropped_count = 0
-        self.missed_count = 0
-        self.satisfied_count = 0
         arrivals = tr.generate_arrivals(
             self.catalog_list, self.steps_per_episode, self.traffic_rng
         )
@@ -177,28 +178,6 @@ class SchedulingEnv:
 
     # -- dynamics -------------------------------------------------------------
 
-    def apply_action(self, action: int):
-        """Allocate the current RB; returns (delivered_bits, invalid, satisfied_slot)."""
-        if not 0 <= action <= self.L:
-            raise ValueError(f"action out of range: {action}")
-        k = self.psi - 1
-        if action == 0:
-            return 0, False, None
-        entry = self.buffer[action - 1]
-        if entry is None:
-            return 0, True, None  # invalid: RB stays free, mask unset
-        delivered = int(min(entry.deliverable[k], entry.remaining_bits))
-        entry.remaining_bits -= delivered
-        entry.delivered_bits += delivered
-        self.mask[k] = True
-        satisfied = None
-        if entry.remaining_bits == 0:
-            satisfied = action - 1
-            self.satisfied_count += 1
-            self._latency_sample(entry, missed=False)
-            self.buffer[action - 1] = None
-        return delivered, False, satisfied
-
     def continuity_indicator(self, v_k: int) -> int:
         return 1 if v_k >= self.C else 0
 
@@ -211,48 +190,44 @@ class SchedulingEnv:
         return min(ttls) if ttls else None
 
     def step(self, action: int) -> StepOutcome:
+        """Allocate the current RB (action 0 leaves it free, j serves slot j)."""
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        info = {
-            "delivered_bits": 0,
-            "se_sample": 0.0,
-            "alloc_se_sample": None,
-            "invalid": False,
-            "time_step_finalized": False,
-            "missed": [],
-            "latency_samples": [],
-            "arrivals": 0,
-            "accepted": 0,
-            "dropped": 0,
-        }
-        self._info = info
         was_empty = self.buffer_empty
-        k = self.psi  # 1..R
-        # Achievable SE of an attempted allocation: the chosen slot's deliverable
-        # bits on this RB regardless of how few it still needs ("optimistic"),
-        # 0.0 for an invalid index.  No sample when the RB is deliberately left
-        # free or there is nothing to serve; the learning curves average these.
+        k = self.rl_step % self.R  # 0-based current RB
+        delivered, alloc_se, invalid, resolved = 0, None, False, ()
         if not was_empty and action != 0:
-            chosen = self.buffer[action - 1] if 1 <= action <= self.L else None
-            info["alloc_se_sample"] = (
-                float(chosen.deliverable[k - 1]) / self.rb_bits
-                if chosen is not None else 0.0
-            )
-        delivered, invalid, _ = (0, False, None) if was_empty else self.apply_action(action)
+            if not 0 < action <= self.L:
+                raise ValueError(f"action out of range: {action}")
+            entry = self.buffer[action - 1]
+            # Achievable SE of an attempted allocation: the chosen slot's
+            # deliverable bits on this RB regardless of how few it still needs
+            # ("optimistic"), 0.0 for an empty slot. No sample when the RB is
+            # left free or there is nothing to serve; the learning curves
+            # average these.
+            if entry is None:
+                alloc_se, invalid = 0.0, True  # RB stays free, mask unset
+            else:
+                alloc_se = float(entry.deliverable[k]) / self.rb_bits
+                delivered = int(min(entry.deliverable[k], entry.remaining_bits))
+                entry.remaining_bits -= delivered
+                entry.delivered_bits += delivered
+                self.mask[k] = True
+                self.r1 += delivered / self.rb_bits / self.table.se_max
+                if entry.remaining_bits == 0:
+                    latency = self.time_step - entry.admitted_step + 1
+                    resolved = [(entry.service.id, latency, False, entry.delivered_bits)]
+                    self.buffer[action - 1] = None
 
-        se_sample = delivered / self.rb_bits
-        self.total_delivered_bits += delivered
-        if not was_empty and not invalid and self.mask[k - 1]:
-            self.r1 += se_sample / self.table.se_max
-        info["delivered_bits"] = delivered
-        info["se_sample"] = se_sample
-        info["invalid"] = invalid
-
-        if k < self.R:
+        accepted = dropped = 0
+        v_final = None
+        if k < self.R - 1:
             reward = -1.0 if invalid else 0.0
         else:
-            # Finalize the continuity counters with this step's allocation mask.
-            self.v = np.where(self.mask, 0, self.v + 1)
+            # Finalize the continuity counters with this step's allocation
+            # mask. `v` is replaced, never changed in place, so `v_final`
+            # can share it.
+            self.v = v_final = np.where(self.mask, 0, self.v + 1)
             self.r2 += float(sum(self.continuity_indicator(vk) for vk in self.v))
             if was_empty:
                 reward = 0.0
@@ -264,45 +239,46 @@ class SchedulingEnv:
                 )
                 if invalid:
                     reward += -1.0
-            info["time_step_finalized"] = True
-            info["v_final"] = self.v.copy()
             if self.record_grid:
                 self.mask_grid.append(self.mask.copy())
                 self.v_history.append(self.v.copy())
-            self._advance_time_step(info)
+            resolved, accepted, dropped = self._advance_time_step(resolved)
             self.mask[:] = False
             self.r1 = 0.0
             self.r2 = 0.0
 
         self.rl_step += 1
         self.done = self.rl_step >= self.steps_per_episode * self.R
-        return StepOutcome(reward, self.done, info)
+        return StepOutcome(reward, self.done, delivered, alloc_se, accepted, dropped,
+                           resolved, v_final)
 
-    def _advance_time_step(self, info: dict):
-        """End-of-step housekeeping: TTLs, misses, admissions, fading redraws."""
+    def _advance_time_step(self, resolved):
+        """End-of-step housekeeping: TTLs, misses, admissions, fading redraws.
+
+        Returns `resolved` with the requests that missed their deadline added,
+        and the numbers of arrivals accepted and dropped.
+        """
         for j, entry in enumerate(self.buffer):
             if entry is None:
                 continue
             entry.ttl -= 1
             if entry.ttl == 0:
-                self.missed_count += 1
-                self.total_missed_bits += entry.delivered_bits
-                info["missed"].append((entry.service.id, entry.delivered_bits))
-                self._latency_sample(entry, missed=True)
+                # A missed request enters the latency record at its deadline.
+                if not resolved:
+                    resolved = []
+                resolved.append((entry.service.id, entry.service.max_latency, True,
+                                 entry.delivered_bits))
                 self.buffer[j] = None
 
         n = self.time_step
+        accepted = dropped = 0
         while self._pending and self._pending[-1].arrival_step <= n:
             req = self._pending.pop()
-            self.arrivals_count += 1
-            info["arrivals"] += 1
             slot = next((j for j, s in enumerate(self.buffer) if s is None), None)
             if slot is None:
-                self.dropped_count += 1
-                info["dropped"] += 1
+                dropped += 1
                 continue
-            self.accepted_count += 1
-            info["accepted"] += 1
+            accepted += 1
             svc = self.catalog[req.service_id]
             link = ch.draw_link(self.params, self.channel_rng)
             self.buffer[slot] = BufferEntry(
@@ -328,10 +304,4 @@ class SchedulingEnv:
                     entry.link.age += 1
 
         self.time_step += 1
-
-    def _latency_sample(self, entry: BufferEntry, missed: bool):
-        if missed:
-            latency = entry.service.max_latency
-        else:
-            latency = self.time_step - entry.admitted_step + 1
-        self._info["latency_samples"].append((entry.service.id, latency, missed))
+        return resolved, accepted, dropped

@@ -211,7 +211,7 @@ def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: Experiment
             action = policy.act(env)
             out = env.step(action)
             policy.observe(env, action, out.reward, out.terminal)
-            metrics.record(out.info)
+            metrics.record(out)
             steps_done += 1
     return steps_done
 

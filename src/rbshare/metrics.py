@@ -1,17 +1,17 @@
 """Evaluation accounting: licensed spectral efficiency (with and without the
 missed-bits deduction), the coexisting unlicensed link, acceptance / missed
-ratios, latency CDFs and windowed learning curves, plus CSV/JSON emission.
+ratios, latency CDFs and windowed learning curves.
 """
 
 from __future__ import annotations
 
-import json
+from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from rbshare import channel as ch
+from rbshare.environment import StepOutcome
 
 
 class UnlicensedLink:
@@ -40,19 +40,20 @@ class UnlicensedLink:
 
 @dataclass
 class RunMetrics:
-    """Per-run accumulators, fed one environment step-info dict at a time."""
+    """Per-run accumulators, fed one environment `StepOutcome` at a time."""
 
     rb_bits: float                     # W*T, bits per unit spectral efficiency
     num_rbs: int
     continuity_len: int
     unlicensed: UnlicensedLink | None = None
 
-    se_samples: list = field(default_factory=list)   # per-RL-step SE, b/s/Hz
-    alloc_samples: list = field(default_factory=list)  # (rl step, achievable SE)
+    rl_steps: int = 0
+    # RL step and achievable SE (b/s/Hz) of each attempted allocation.
+    alloc_steps: array = field(default_factory=lambda: array("q"))
+    alloc_se: array = field(default_factory=lambda: array("d"))
     time_steps: int = 0
     delivered_bits: int = 0
     missed_bits: int = 0               # bits credited to later-missed requests
-    arrivals: int = 0
     accepted: int = 0
     dropped: int = 0
     missed: int = 0
@@ -61,27 +62,29 @@ class RunMetrics:
     unlicensed_bits: int = 0
     unlicensed_rb_steps: int = 0       # grid cells with continuity >= C
 
-    def record(self, info: dict):
-        alloc_se = info.get("alloc_se_sample")
-        if alloc_se is not None:
-            self.alloc_samples.append((len(self.se_samples), alloc_se))
-        self.se_samples.append(info["se_sample"])
-        self.delivered_bits += info["delivered_bits"]
-        self.arrivals += info["arrivals"]
-        self.accepted += info["accepted"]
-        self.dropped += info["dropped"]
-        for svc_id, latency, was_missed in info.get("latency_samples", []):
+    @property
+    def arrivals(self) -> int:
+        return self.accepted + self.dropped
+
+    def record(self, out: StepOutcome):
+        if out.alloc_se is not None:
+            self.alloc_steps.append(self.rl_steps)
+            self.alloc_se.append(out.alloc_se)
+        self.rl_steps += 1
+        self.delivered_bits += out.delivered_bits
+        self.accepted += out.accepted
+        self.dropped += out.dropped
+        for svc_id, latency, was_missed, bits in out.resolved:
             self.latency.setdefault(svc_id, []).append((latency, was_missed))
             if was_missed:
                 self.missed += 1
+                self.missed_bits += bits
             else:
                 self.satisfied += 1
-        for _svc_id, bits in info["missed"]:
-            self.missed_bits += bits
-        if info["time_step_finalized"]:
+        v = out.v_final
+        if v is not None:
             self.time_steps += 1
             if self.unlicensed is not None:
-                v = info["v_final"]
                 for k in range(self.num_rbs):
                     if v[k] >= self.continuity_len:
                         self.unlicensed_rb_steps += 1
@@ -130,34 +133,14 @@ class RunMetrics:
         """
         if window < 1:
             raise ValueError("window must be >= 1")
-        idx = np.array([i for i, _ in self.alloc_samples], dtype=np.int64)
-        cum = np.concatenate([[0.0], np.cumsum([v for _, v in self.alloc_samples])])
+        idx = np.frombuffer(self.alloc_steps, dtype=np.int64)
+        cum = np.concatenate([[0.0], np.cumsum(np.frombuffer(self.alloc_se))])
         out = []
         for n in range(sample_every_steps, self.time_steps + 1, sample_every_steps):
             hi = np.searchsorted(idx, n * self.num_rbs, side="left")
             lo = np.searchsorted(idx, n * self.num_rbs - window, side="left")
             out.append((n, float((cum[hi] - cum[lo]) / (hi - lo)) if hi > lo else 0.0))
         return out
-
-    def merge(self, other: "RunMetrics"):
-        """Fold another run's accumulators in (counters add, samples concat)."""
-        offset = len(self.se_samples)
-        self.alloc_samples.extend((offset + i, v) for i, v in other.alloc_samples)
-        self.se_samples.extend(other.se_samples)
-        self.time_steps += other.time_steps
-        self.delivered_bits += other.delivered_bits
-        self.missed_bits += other.missed_bits
-        self.arrivals += other.arrivals
-        self.accepted += other.accepted
-        self.dropped += other.dropped
-        self.missed += other.missed
-        self.satisfied += other.satisfied
-        for svc_id, samples in other.latency.items():
-            self.latency.setdefault(svc_id, []).extend(samples)
-        self.unlicensed_bits += other.unlicensed_bits
-        self.unlicensed_rb_steps += other.unlicensed_rb_steps
-
-    # -- emission ------------------------------------------------------------------
 
     def summary(self) -> dict:
         acceptance, missed = self.ratios() if self.arrivals else (1.0, 0.0)
@@ -178,19 +161,3 @@ class RunMetrics:
             "unlicensed_bits": self.unlicensed_bits,
             "unlicensed_rb_steps": self.unlicensed_rb_steps,
         }
-
-    def write_csvs(self, outdir, learning_window: int = 1000):
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "learning_curve.csv", "w") as f:
-            f.write("step,value\n")
-            for step, value in self.windowed_se(learning_window):
-                f.write(f"{step},{value!r}\n")
-        for svc_id in sorted(self.latency):
-            with open(outdir / f"latency_type{svc_id}.csv", "w") as f:
-                f.write("latency,cdf\n")
-                for lat, frac in self.latency_cdf(svc_id):
-                    f.write(f"{lat},{frac!r}\n")
-        with open(outdir / "summary.json", "w") as f:
-            json.dump(self.summary(), f, indent=2, sort_keys=True)
-            f.write("\n")

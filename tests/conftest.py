@@ -42,3 +42,35 @@ def env():
     e = make_env()
     e.reset()
     return e
+
+
+class Ledger:
+    """Accounting of one episode kept apart from the program's own.
+
+    Before each step it adds the bits the current RB can deliver to the
+    chosen request (`deliverable_now`). After it, it compares the buffer with
+    the one before: a request that left with nothing more to send was
+    satisfied, one that left still wanting bits missed its deadline, and a
+    request that appeared was admitted.
+    """
+
+    def __init__(self):
+        self.delivered = self.admitted = 0
+        self.satisfied = self.missed = self.missed_bits = 0
+
+    def step(self, env, action: int):
+        before = [e for e in env.buffer if e is not None]
+        if action:
+            self.delivered += env.deliverable_now(action - 1)
+        out = env.step(action)
+        after = [e for e in env.buffer if e is not None]
+        for entry in before:
+            if any(entry is e for e in after):
+                continue
+            if entry.remaining_bits:
+                self.missed += 1
+                self.missed_bits += entry.delivered_bits
+            else:
+                self.satisfied += 1
+        self.admitted += sum(not any(entry is e for e in before) for entry in after)
+        return out

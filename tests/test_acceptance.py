@@ -175,27 +175,28 @@ def test_criterion_06_continuity_brute_force():
 def test_criterion_07_bit_conservation():
     rng = np.random.default_rng(77)
     violations = 0
-    metrics_total = env_total = 0
+    metrics_total = oracle_total = 0
     for ep in range(1000):
         env = make_env(steps=20, seed=int(rng.integers(2 ** 31)))
         env.reset()
         m = RunMetrics(rb_bits=env.rb_bits, num_rbs=env.R,
                        continuity_len=env.C)
         while not env.done:
-            out = env.step(int(rng.integers(0, env.L + 1)))
-            m.record(out.info)
+            action = int(rng.integers(0, env.L + 1))
+            # What the current RB can carry to the chosen request, if any.
+            oracle_total += env.deliverable_now(action - 1) if action else 0
+            m.record(env.step(action))
             for entry in env.buffer:
                 if entry is not None and (
                         entry.delivered_bits + entry.remaining_bits
                         != entry.service.pdu_bits):
                     violations += 1
         metrics_total += m.delivered_bits
-        env_total += env.total_delivered_bits
-    ok = violations == 0 and metrics_total == env_total
-    report(7, ok, f"{violations} conservation violations; metrics/env totals "
-                  f"{metrics_total}/{env_total}")
+    ok = violations == 0 and metrics_total == oracle_total
+    report(7, ok, f"{violations} conservation violations; metrics/oracle totals "
+                  f"{metrics_total}/{oracle_total}")
     assert violations == 0
-    assert metrics_total == env_total
+    assert metrics_total == oracle_total
 
 
 @pytest.mark.slow

@@ -1,10 +1,13 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_env, put_entry
+from conftest import Ledger, make_env, put_entry
+from rbshare import traffic as tr
 from rbshare.environment import aggregate_reward
+from rbshare.metrics import RunMetrics
 
 
 def brute_force_continuity(mask_grid, num_rbs):
@@ -73,24 +76,27 @@ class TestActionSemantics:
     def test_delivery_and_satisfaction(self, env):
         put_entry(env, 0, remaining=500)
         out = env.step(1)
-        assert out.info["delivered_bits"] == 500
+        assert out.delivered_bits == 500
         assert env.buffer[0] is None
-        assert env.satisfied_count == 1
+        # Type 1, admitted this time step (latency 1), not missed, 500 bits.
+        assert out.resolved == [(1, 1, False, 500)]
 
     def test_invalid_action_mid_step(self, env):
         put_entry(env, 0)
         out = env.step(8)  # empty slot -> invalid
         assert out.reward == -1.0
-        assert out.info["invalid"]
+        assert out.alloc_se == 0.0 and out.delivered_bits == 0
         assert not env.mask.any()
 
     def test_se_values(self, env):
         put_entry(env, 0)
         out = env.step(1)
-        assert out.info["se_sample"] == pytest.approx(999 / 180.0)
+        assert out.delivered_bits / env.rb_bits == pytest.approx(999 / 180.0)
+        assert out.alloc_se == pytest.approx(999 / 180.0)
         put_entry(env, 1, remaining=180)
         out = env.step(2)
-        assert out.info["se_sample"] == pytest.approx(1.0)
+        assert out.delivered_bits / env.rb_bits == pytest.approx(1.0)
+        assert out.alloc_se == pytest.approx(999 / 180.0)  # achievable, not delivered
 
 
 class TestContinuity:
@@ -183,11 +189,11 @@ class TestTimeAdvance:
         e.reset()
         entry = put_entry(e, 0, type_id=1, ttl=1, remaining=3200)
         entry.delivered_bits = 999  # pretend one RB was credited earlier
-        for _ in range(e.R):
-            e.step(0)
+        outs = [e.step(0) for _ in range(e.R)]
         assert e.buffer[0] is None
-        assert e.missed_count == 1
-        assert e.total_missed_bits == 999
+        # Only the time step's last RB resolves it: type 1, counted at its
+        # 150-step deadline, missed, with the 999 bits it had received.
+        assert [out.resolved for out in outs] == [()] * (e.R - 1) + [[(1, 150, True, 999)]]
 
     def test_ttl_bound_and_no_zero_survivors(self):
         rng = np.random.default_rng(13)
@@ -201,11 +207,17 @@ class TestTimeAdvance:
 
     def test_buffer_overflow_drops(self):
         e = make_env(buffer_len=2, rate="high", steps=400, seed=3)
+        # The episode's traffic, drawn again from a copy of its stream.
+        arrivals = tr.generate_arrivals(e.catalog_list, e.steps_per_episode,
+                                        copy.deepcopy(e.traffic_rng))
         e.reset()
+        m = RunMetrics(rb_bits=e.rb_bits, num_rbs=e.R, continuity_len=e.C)
+        ledger = Ledger()
         while not e.done:
-            e.step(0)  # never serve: buffer saturates, later arrivals drop
-        assert e.dropped_count > 0
-        assert e.accepted_count + e.dropped_count == e.arrivals_count
+            m.record(ledger.step(e, 0))  # never serve: buffer saturates, arrivals drop
+        assert m.dropped > 0
+        assert m.accepted == ledger.admitted
+        assert m.accepted + m.dropped == len(arrivals)
 
     def test_coherence_redraw_changes_budget(self):
         e = make_env(steps=30, coherence_time=3, corr_param=0.5,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,22 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, "reward.delta = inf\n"))
         assert math.isinf(cfg.delta)
 
-    def test_negative_learning_rate_names_field(self, tmp_path):
-        with pytest.raises(ConfigError, match="learning_rate"):
-            load_config(write_config(tmp_path, "agent.learning_rate = -0.1\n"))
+    # Out-of-range agent settings fail at load time and name their key.
+    # Several used to load and then stop a run midway with a traceback.
+    @pytest.mark.parametrize("setting", [
+        pytest.param("agent.learning_rate = -0.1", id="learning_rate"),
+        pytest.param("agent.replay_capacity = 0", id="replay_capacity"),
+        pytest.param("agent.target_sync = 0", id="target_sync"),
+        pytest.param("agent.minibatch = 64\nagent.min_observations = 40", id="minibatch"),
+        pytest.param("agent.minibatch = 0", id="minibatch_zero"),
+        pytest.param("agent.eps0 = 2", id="eps0"),
+        pytest.param("agent.eps_inf = -0.5", id="eps_inf"),
+        pytest.param("agent.eps_decay_steps = 0", id="eps_decay_steps"),
+    ])
+    def test_bad_agent_setting_names_key(self, tmp_path, setting):
+        key = setting.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(write_config(tmp_path, setting + "\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -73,9 +87,18 @@ class TestRun:
         artifacts = harness.run(cfg)
         assert artifacts.train_metrics.time_steps == 2 * 40
 
-    def test_mt_baseline_delivers(self):
-        artifacts = harness.run(tiny_config())
+    def test_mt_baseline_delivers(self, tmp_path):
+        artifacts = harness.run(tiny_config(), out_dir=tmp_path)
         assert artifacts.summary["se_licensed"] > 0
+        assert json.loads((tmp_path / "summary.json").read_text()) == artifacts.summary
+        header = (tmp_path / "learning_curve.csv").read_text().splitlines()[0]
+        assert header == "step,value"
+        latency_csvs = sorted(tmp_path.glob("latency_type*.csv"))
+        names = [p.name for p in latency_csvs]
+        assert "latency_type1.csv" in names
+        assert names == [f"latency_type{i}.csv" for i in sorted(artifacts.eval_metrics.latency)]
+        for path in latency_csvs:
+            assert path.read_text().startswith("latency,cdf\n")
 
     def test_episode_reset_resamples(self):
         artifacts = harness.run(tiny_config(seed=1))
@@ -206,13 +229,15 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "agent.learning_rate = 1e6\n"
                                      "agent.min_observations = 40\n"
                                      "run.episodes = 1\nrun.steps_per_episode = 20\n"
                                      "run.eval_set = false\nagent.hidden = 16\n")
-        assert cli.main(["run", str(cfg)]) == 1
+        # Any numpy overflow warning on the way would raise here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(cfg)]) == 1
         assert "error: training diverged: non-finite training loss" in capsys.readouterr().err
 
     def test_compare_command(self, tmp_path, capsys):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_env, put_entry
+from conftest import Ledger, make_env
 from rbshare import channel as ch
 from rbshare.agent import CallablePolicy, fixed_split, mt_action
+from rbshare.environment import StepOutcome
 from rbshare.metrics import RunMetrics, UnlicensedLink
 
 
@@ -13,69 +14,66 @@ def bare_metrics(**kw):
     return RunMetrics(rb_bits=180.0, num_rbs=6, continuity_len=2, **kw)
 
 
-def blank_info(**overrides):
-    info = {
-        "delivered_bits": 0, "se_sample": 0.0, "alloc_se_sample": None,
-        "invalid": False,
-        "time_step_finalized": False, "missed": [], "latency_samples": [],
-        "arrivals": 0, "accepted": 0, "dropped": 0,
-    }
-    info.update(overrides)
-    return info
+def blank_outcome(**fields):
+    """A mid-time-step RL step that did nothing, with `fields` set."""
+    return StepOutcome(reward=0.0, terminal=False, **fields)
+
+
+def last_rb(n: int) -> np.ndarray | None:
+    """`v_final` of the n-th RL step under R = 6: counters on the last RB."""
+    return np.zeros(6) if n % 6 == 5 else None
 
 
 class TestSeLicensed:
     def test_idle_is_zero(self):
         m = bare_metrics()
         for k in range(6):
-            m.record(blank_info(time_step_finalized=(k == 5),
-                                v_final=np.ones(6)))
+            m.record(blank_outcome(v_final=np.ones(6) if k == 5 else None))
         assert m.se_licensed() == 0.0
         assert m.se_licensed(adjusted=True) == 0.0
 
     def test_adjusted_equals_unadjusted_without_misses(self):
         m = bare_metrics()
-        m.record(blank_info(delivered_bits=999, se_sample=999 / 180.0,
-                            time_step_finalized=True, v_final=np.zeros(6)))
+        m.record(blank_outcome(delivered_bits=999, v_final=np.zeros(6)))
         assert m.se_licensed() == m.se_licensed(adjusted=True)
 
     def test_missed_deduction(self):
         m = bare_metrics()
-        m.record(blank_info(delivered_bits=999, se_sample=999 / 180.0,
-                            missed=[(1, 999)],
-                            latency_samples=[(1, 150, True)],
-                            time_step_finalized=True, v_final=np.zeros(6)))
+        m.record(blank_outcome(delivered_bits=999, resolved=[(1, 150, True, 999)],
+                               v_final=np.zeros(6)))
         drop = m.se_licensed() - m.se_licensed(adjusted=True)
         assert drop == pytest.approx(999 / (180.0 * 6), abs=1e-12)
 
     def test_adjusted_never_exceeds_unadjusted(self):
-        env = make_env(steps=100, seed=2)
+        env = make_env(steps=500, seed=2)  # long enough for deadlines to pass
         env.reset()
         m = bare_metrics()
+        ledger = Ledger()
         rng = np.random.default_rng(0)
         while not env.done:
-            m.record(env.step(int(rng.integers(0, env.L + 1))).info)
+            m.record(ledger.step(env, int(rng.integers(0, env.L + 1))))
         assert m.se_licensed(adjusted=True) <= m.se_licensed()
-        assert m.delivered_bits == env.total_delivered_bits
-        assert m.missed_bits == env.total_missed_bits
+        assert m.missed > 0  # the deduction is exercised
+        assert m.delivered_bits == ledger.delivered
+        assert m.missed_bits == ledger.missed_bits
 
 
 class TestRatios:
     def test_perfect_run(self):
         m = bare_metrics()
-        m.record(blank_info(arrivals=5, accepted=5))
+        m.record(blank_outcome(accepted=5))
         assert m.ratios() == (1.0, 0.0)
 
     def test_acceptance_example(self):
         m = bare_metrics()
-        m.record(blank_info(arrivals=100, accepted=88, dropped=12))
+        m.record(blank_outcome(accepted=88, dropped=12))
         acceptance, _ = m.ratios()
         assert acceptance == pytest.approx(0.88)
 
     def test_missed_example(self):
         m = bare_metrics()
-        m.record(blank_info(arrivals=10_000, accepted=10_000))
-        m.record(blank_info(latency_samples=[(1, 150, True), (1, 150, True)]))
+        m.record(blank_outcome(accepted=10_000))
+        m.record(blank_outcome(resolved=[(1, 150, True, 0), (1, 150, True, 0)]))
         _, missed = m.ratios()
         assert missed == pytest.approx(2e-4)
 
@@ -84,7 +82,7 @@ class TestRatios:
         env.reset()
         m = bare_metrics()
         while not env.done:
-            m.record(env.step(0).info)
+            m.record(env.step(0))
         acceptance, missed = m.ratios()
         assert 0.0 <= acceptance <= 1.0 and 0.0 <= missed <= 1.0
 
@@ -92,12 +90,12 @@ class TestRatios:
 class TestLatency:
     def test_degenerate_cdf(self):
         m = bare_metrics()
-        m.record(blank_info(latency_samples=[(1, 150, False)] * 5))
+        m.record(blank_outcome(resolved=[(1, 150, False, 3200)] * 5))
         assert m.latency_cdf(1) == [(150, 1.0)]
 
     def test_missed_counted_at_deadline(self):
         m = bare_metrics()
-        m.record(blank_info(latency_samples=[(3, 300, True), (3, 10, False)]))
+        m.record(blank_outcome(resolved=[(3, 300, True, 0), (3, 10, False, 200_000)]))
         cdf = m.latency_cdf(3)
         assert cdf == [(10, 0.5), (300, 1.0)]
 
@@ -107,7 +105,7 @@ class TestLatency:
         env.reset()
         m = bare_metrics()
         while not env.done:
-            m.record(env.step(ml_action(env)).info)
+            m.record(env.step(ml_action(env)))
         for svc_id, samples in m.latency.items():
             u2 = {1: 150, 2: 200, 3: 300}[svc_id]
             for lat, was_missed in samples:
@@ -123,10 +121,7 @@ class TestWindowedSe:
     def test_constant_stream(self):
         m = bare_metrics()
         for n in range(600):
-            m.record(blank_info(se_sample=2.5, alloc_se_sample=2.5,
-                                delivered_bits=450,
-                                time_step_finalized=(n % 6 == 5),
-                                v_final=np.zeros(6)))
+            m.record(blank_outcome(alloc_se=2.5, delivered_bits=450, v_final=last_rb(n)))
         series = m.windowed_se(window=120)
         assert len(series) == 1
         assert series[0] == (100, pytest.approx(2.5))
@@ -135,9 +130,7 @@ class TestWindowedSe:
         m = bare_metrics()
         samples = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0] * 100
         for n, s in enumerate(samples):
-            m.record(blank_info(se_sample=s, alloc_se_sample=s,
-                                time_step_finalized=(n % 6 == 5),
-                                v_final=np.zeros(6)))
+            m.record(blank_outcome(alloc_se=s, v_final=last_rb(n)))
         series = m.windowed_se(window=1)
         assert series[0][1] == samples[100 * 6 - 1]
 
@@ -147,17 +140,14 @@ class TestWindowedSe:
         m = bare_metrics()
         for n in range(600):
             alloc = 5.0 if n % 2 == 0 else None
-            m.record(blank_info(alloc_se_sample=alloc,
-                                time_step_finalized=(n % 6 == 5),
-                                v_final=np.zeros(6)))
+            m.record(blank_outcome(alloc_se=alloc, v_final=last_rb(n)))
         series = m.windowed_se(window=120)
         assert series[0] == (100, pytest.approx(5.0))
 
     def test_empty_window_is_zero(self):
         m = bare_metrics()
         for n in range(600):
-            m.record(blank_info(time_step_finalized=(n % 6 == 5),
-                                v_final=np.zeros(6)))
+            m.record(blank_outcome(v_final=last_rb(n)))
         assert m.windowed_se(window=120) == [(100, 0.0)]
 
 
@@ -170,14 +160,14 @@ class TestUnlicensed:
 
     def test_no_qualifying_vacancies(self):
         m = self.make_with_link()
-        m.record(blank_info(time_step_finalized=True, v_final=np.zeros(6)))
+        m.record(blank_outcome(v_final=np.zeros(6)))
         assert m.se_unlicensed() == 0.0
         assert m.unlicensed_rb_steps == 0
 
     def test_saturated_cqi15(self):
         m = self.make_with_link()
         m.unlicensed.bits_per_rb = np.full(6, 999)
-        m.record(blank_info(time_step_finalized=True, v_final=np.full(6, 3)))
+        m.record(blank_outcome(v_final=np.full(6, 3)))
         assert m.se_unlicensed() == pytest.approx(999 / 180.0)
         assert m.unlicensed_rb_steps == 6
 
@@ -187,7 +177,7 @@ class TestUnlicensed:
         m = self.make_with_link()
         policy = fixed_split(CallablePolicy(mt_action), licensed_rbs=4)
         while not env.done:
-            m.record(env.step(policy.act(env)).info)
+            m.record(env.step(policy.act(env)))
         # RBs 5-6 are permanently free: they qualify on every step after C=2.
         assert m.unlicensed_rb_steps >= 2 * (30 - 2)
 
@@ -197,7 +187,7 @@ class TestUnlicensed:
         m = self.make_with_link()
         rng = np.random.default_rng(1)
         while not env.done:
-            m.record(env.step(int(rng.integers(0, env.L + 1))).info)
+            m.record(env.step(int(rng.integers(0, env.L + 1))))
         v = np.zeros(env.R, dtype=int)
         expected = 0
         for mask in env.mask_grid:
@@ -205,29 +195,3 @@ class TestUnlicensed:
             expected += int((v >= env.C).sum())
         assert m.unlicensed_rb_steps == expected
 
-
-class TestMergeAndEmission:
-    def test_merge_adds_counters(self):
-        a, b = bare_metrics(), bare_metrics()
-        a.record(blank_info(arrivals=3, accepted=2, dropped=1, delivered_bits=100,
-                            se_sample=1.0, time_step_finalized=True,
-                            v_final=np.zeros(6)))
-        b.record(blank_info(arrivals=1, accepted=1, delivered_bits=50,
-                            se_sample=0.5, latency_samples=[(1, 5, False)],
-                            time_step_finalized=True, v_final=np.zeros(6)))
-        a.merge(b)
-        assert a.arrivals == 4 and a.accepted == 3 and a.delivered_bits == 150
-        assert a.time_steps == 2 and len(a.se_samples) == 2
-        assert a.latency[1] == [(5, False)]
-
-    def test_csv_emission(self, tmp_path):
-        env = make_env(steps=200, seed=8)
-        env.reset()
-        m = bare_metrics()
-        while not env.done:
-            m.record(env.step(mt_action(env)).info)
-        m.write_csvs(tmp_path, learning_window=100)
-        assert (tmp_path / "summary.json").exists()
-        header = (tmp_path / "learning_curve.csv").read_text().splitlines()[0]
-        assert header == "step,value"
-        assert (tmp_path / "latency_type1.csv").read_text().startswith("latency,cdf")
