@@ -195,3 +195,21 @@ class TestUnlicensed:
             expected += int((v >= env.C).sum())
         assert m.unlicensed_rb_steps == expected
 
+
+
+class TestMergeAndEmission:
+    def test_csv_emission(self, tmp_path):
+        from rbshare import harness
+
+        cfg = harness.ExperimentConfig(policy="mt", seed=8, episodes=1,
+                                       steps_per_episode=200, eval_set=False,
+                                       learning_window=100)
+        artifacts = harness.run(cfg, out_dir=tmp_path)
+        m = artifacts.train_metrics
+        assert (tmp_path / "summary.json").exists()
+        lines = (tmp_path / "learning_curve.csv").read_text().splitlines()
+        assert lines[0] == "step,value"
+        assert lines[1:] == [f"{s},{v!r}" for s, v in m.windowed_se(100)]
+        lines = (tmp_path / "latency_type1.csv").read_text().splitlines()
+        assert lines[0] == "latency,cdf"
+        assert lines[1:] == [f"{lat},{frac!r}" for lat, frac in m.latency_cdf(1)]
