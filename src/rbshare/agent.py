@@ -8,6 +8,7 @@ taken action's output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -248,6 +249,10 @@ class AgentConfig:
             ("target_sync", self.target_sync >= 1, "must be >= 1"),
             ("minibatch", 1 <= self.minibatch <= self.min_observations,
              "must be in 1..agent.min_observations"),
+            # Replay memory never holds more than its capacity, so a larger
+            # warm-up would never end and the network never train.
+            ("min_observations", self.min_observations <= self.replay_capacity,
+             "must be <= agent.replay_capacity"),
             ("eps0", 0.0 <= self.eps0 <= 1.0, "must be in [0, 1]"),
             ("eps_inf", 0.0 <= self.eps_inf <= 1.0, "must be in [0, 1]"),
             ("eps_decay_steps", self.eps_decay_steps >= 1, "must be >= 1"),
@@ -309,23 +314,27 @@ class DQNPolicy:
 
 
 def mt_action(env: SchedulingEnv) -> int:
-    """Max-throughput: slot with the most deliverable bits on the current RB."""
+    """Max-throughput: slot with the most deliverable bits on the current RB
+    (as `env.deliverable_now`); the lowest slot wins ties."""
+    k = env.rl_step % env.R
     best, best_bits = 0, -1
-    for j in env.occupied_slots():
-        bits = env.deliverable_now(j)
-        if bits > best_bits:
-            best, best_bits = j + 1, bits
-    return best if best_bits >= 0 else 0
+    for j, entry in enumerate(env.buffer, 1):
+        if entry is not None:
+            bits = min(entry.deliverable[k], entry.remaining_bits)
+            if bits > best_bits:
+                best, best_bits = j, bits
+    return best
 
 
 def ml_action(env: SchedulingEnv) -> int:
-    """Min-latency: slot with the smallest normalized TTL."""
-    best, best_ttl = 0, None
-    for j in env.occupied_slots():
-        entry = env.buffer[j]
-        norm = entry.ttl / entry.service.max_latency
-        if best_ttl is None or norm < best_ttl:
-            best, best_ttl = j + 1, norm
+    """Min-latency: slot with the smallest normalized TTL; the lowest slot
+    wins ties."""
+    best, best_ttl = 0, math.inf
+    for j, entry in enumerate(env.buffer, 1):
+        if entry is not None:
+            norm = entry.ttl / entry.service.max_latency
+            if norm < best_ttl:
+                best, best_ttl = j, norm
     return best
 
 

@@ -186,17 +186,21 @@ def deliverable_bits(cqi: int, params: ChannelParams, table: CqiTable) -> int:
     )
 
 
-def link_cqis(link: LinkState, params: ChannelParams, table: CqiTable) -> np.ndarray:
-    """Per-RB CQI vector for a link, valid for the current coherence period."""
-    h = math.sqrt(link.large_scale) * link.small_scale
-    return np.array([sinr_to_cqi(sinr(params, hk), table) for hk in h], dtype=np.int64)
-
-
 def link_deliverable_bits(
     link: LinkState, params: ChannelParams, table: CqiTable
-) -> np.ndarray:
-    """Per-RB deliverable bit counts for a link (Def.-style t vector)."""
-    return np.array(
-        [deliverable_bits(c, params, table) for c in link_cqis(link, params, table)],
-        dtype=np.int64,
-    )
+) -> tuple[int, ...]:
+    """Per-RB deliverable bit counts for a link (Def.-style t vector).
+
+    The same chain as `sinr`, `sinr_to_cqi` and `deliverable_bits` RB by RB,
+    with the per-link constants taken out of the loop and plain floats and
+    ints in it, so every value is bit for bit what the scalar rules give.
+    """
+    p_rb = params.tx_power_total / params.num_rbs
+    n0 = noise_power(params)
+    wt = params.rb_bandwidth * params.rb_duration
+    eff = table.efficiencies
+    h = math.sqrt(link.large_scale) * link.small_scale
+    return tuple([
+        math.floor(wt * eff[sinr_to_cqi(p_rb * abs(hk) ** 2 / n0, table)])
+        for hk in h.tolist()
+    ])

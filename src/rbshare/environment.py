@@ -22,15 +22,19 @@ from rbshare import traffic as tr
 V_SCALE_CAP = 64.0
 
 
-@dataclass
+@dataclass(eq=False)
 class BufferEntry:
-    """One live request: type, TTL, remaining bits and its per-RB bit budget."""
+    """One live request: type, TTL, remaining bits and its per-RB bit budget.
+
+    Entries compare by identity, so scans of the buffer for `None` (`count`,
+    `in`) stay in C instead of calling a generated `__eq__` per slot.
+    """
 
     service: tr.ServiceType
     ttl: int
     remaining_bits: int
     link: ch.LinkState
-    deliverable: np.ndarray     # int bits per RB, refreshed each coherence period
+    deliverable: tuple[int, ...]    # bits per RB, refreshed each coherence period
     admitted_step: int
     delivered_bits: int = 0
 
@@ -128,20 +132,12 @@ class SchedulingEnv:
         """Current RB index, 1..R."""
         return self.rl_step % self.R + 1
 
-    @property
-    def buffer_empty(self) -> bool:
-        return all(slot is None for slot in self.buffer)
-
-    def occupied_slots(self) -> list[int]:
-        """0-based indices of live buffer entries (action = index + 1)."""
-        return [j for j, slot in enumerate(self.buffer) if slot is not None]
-
     def deliverable_now(self, slot_index: int) -> int:
         """Bits the current RB can actually deliver to a slot (min with demand)."""
         entry = self.buffer[slot_index]
         if entry is None:
             return 0
-        return int(min(entry.deliverable[self.psi - 1], entry.remaining_bits))
+        return min(entry.deliverable[self.rl_step % self.R], entry.remaining_bits)
 
     # -- state encoding --------------------------------------------------------
 
@@ -151,28 +147,28 @@ class SchedulingEnv:
     def encode(self, normalize: bool = True) -> np.ndarray:
         """Flatten to [q^1 .. q^L, v, psi]; empty slots contribute zeros."""
         out = np.zeros(self.state_dim(), dtype=np.float64)
-        block = self.R + 3
-        se_bits = self.rb_bits * self.table.se_max
+        vbase = (self.R + 3) * self.L
+        q = out[:vbase].reshape(self.L, self.R + 3)
         for j, entry in enumerate(self.buffer):
             if entry is None:
                 continue
-            base = j * block
+            row = q[j]
+            svc = entry.service
+            row[0] = svc.id
             if normalize:
-                out[base] = entry.service.id
-                out[base + 1] = entry.ttl / entry.service.max_latency
-                out[base + 2] = entry.remaining_bits / entry.service.pdu_bits
-                out[base + 3 : base + 3 + self.R] = entry.deliverable / se_bits
+                row[1] = entry.ttl / svc.max_latency
+                row[2] = entry.remaining_bits / svc.pdu_bits
             else:
-                out[base] = entry.service.id
-                out[base + 1] = entry.ttl
-                out[base + 2] = entry.remaining_bits
-                out[base + 3 : base + 3 + self.R] = entry.deliverable
-        vbase = block * self.L
+                row[1] = entry.ttl
+                row[2] = entry.remaining_bits
+            row[3:] = entry.deliverable
         if normalize:
-            out[vbase : vbase + self.R] = self.v / V_SCALE_CAP
+            # Each bit count divided once, as float(bits) / (W*T*se_max).
+            q[:, 3:] /= self.rb_bits * self.table.se_max
+            out[vbase:-1] = self.v / V_SCALE_CAP
             out[-1] = self.psi / self.R
         else:
-            out[vbase : vbase + self.R] = self.v
+            out[vbase:-1] = self.v
             out[-1] = self.psi
         return out
 
@@ -193,7 +189,7 @@ class SchedulingEnv:
         """Allocate the current RB (action 0 leaves it free, j serves slot j)."""
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        was_empty = self.buffer_empty
+        was_empty = self.buffer.count(None) == self.L
         k = self.rl_step % self.R  # 0-based current RB
         delivered, alloc_se, invalid, resolved = 0, None, False, ()
         if not was_empty and action != 0:
@@ -208,8 +204,9 @@ class SchedulingEnv:
             if entry is None:
                 alloc_se, invalid = 0.0, True  # RB stays free, mask unset
             else:
-                alloc_se = float(entry.deliverable[k]) / self.rb_bits
-                delivered = int(min(entry.deliverable[k], entry.remaining_bits))
+                bits = entry.deliverable[k]
+                alloc_se = bits / self.rb_bits
+                delivered = min(bits, entry.remaining_bits)
                 entry.remaining_bits -= delivered
                 entry.delivered_bits += delivered
                 self.mask[k] = True
@@ -228,7 +225,7 @@ class SchedulingEnv:
             # mask. `v` is replaced, never changed in place, so `v_final`
             # can share it.
             self.v = v_final = np.where(self.mask, 0, self.v + 1)
-            self.r2 += float(sum(self.continuity_indicator(vk) for vk in self.v))
+            self.r2 += float(sum(vk >= self.C for vk in self.v.tolist()))
             if was_empty:
                 reward = 0.0
             else:
@@ -274,10 +271,10 @@ class SchedulingEnv:
         accepted = dropped = 0
         while self._pending and self._pending[-1].arrival_step <= n:
             req = self._pending.pop()
-            slot = next((j for j, s in enumerate(self.buffer) if s is None), None)
-            if slot is None:
+            if None not in self.buffer:
                 dropped += 1
                 continue
+            slot = self.buffer.index(None)
             accepted += 1
             svc = self.catalog[req.service_id]
             link = ch.draw_link(self.params, self.channel_rng)

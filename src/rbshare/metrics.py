@@ -85,10 +85,10 @@ class RunMetrics:
         if v is not None:
             self.time_steps += 1
             if self.unlicensed is not None:
-                for k in range(self.num_rbs):
-                    if v[k] >= self.continuity_len:
+                for vk, bits in zip(v.tolist(), self.unlicensed.bits_per_rb):
+                    if vk >= self.continuity_len:
                         self.unlicensed_rb_steps += 1
-                        self.unlicensed_bits += int(self.unlicensed.bits_per_rb[k])
+                        self.unlicensed_bits += bits
                 self.unlicensed.advance_time_step()
 
     # -- derived quantities ------------------------------------------------------

@@ -30,7 +30,7 @@ def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):
         ttl=svc.max_latency if ttl is None else ttl,
         remaining_bits=svc.pdu_bits if remaining is None else remaining,
         link=link,
-        deliverable=np.full(env.R, bits_per_rb, dtype=np.int64),
+        deliverable=(bits_per_rb,) * env.R,
         admitted_step=env.time_step,
     )
     env.buffer[slot] = entry

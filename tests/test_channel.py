@@ -156,3 +156,22 @@ def test_link_constant_within_coherence_period():
     first = ch.link_deliverable_bits(link, p, table)
     for _ in range(5):
         assert np.array_equal(ch.link_deliverable_bits(link, p, table), first)
+
+
+@pytest.mark.parametrize("num_rbs", [1, 6, 25])
+@pytest.mark.parametrize("corr_param", [0.0, 0.001, 0.5, 1.0])
+def test_link_deliverable_bits_matches_scalar_rules(corr_param, num_rbs):
+    """The per-link bit vector equals the scalar SINR -> CQI -> bits chain
+    applied RB by RB, exactly: next to the antenna, at the cell edge, and far
+    beyond it, where every CQI from 0 to 15 occurs."""
+    table = ch.default_cqi_table()
+    rng = np.random.default_rng(9)
+    for dist_min, dist_max in ((10.0, 10.5), (99.5, 100.0), (400.0, 900.0)):
+        p = params(corr_param=corr_param, num_rbs=num_rbs,
+                   dist_min=dist_min, dist_max=dist_max)
+        for _ in range(700):
+            link = ch.draw_link(p, rng)
+            h = math.sqrt(link.large_scale) * link.small_scale
+            expected = [ch.deliverable_bits(ch.sinr_to_cqi(ch.sinr(p, hk), table), p, table)
+                        for hk in h]
+            assert list(ch.link_deliverable_bits(link, p, table)) == expected

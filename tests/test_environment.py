@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import Ledger, make_env, put_entry
+from test_agent import randomize_buffer
 from rbshare import traffic as tr
-from rbshare.environment import aggregate_reward
+from rbshare.environment import V_SCALE_CAP, aggregate_reward
 from rbshare.metrics import RunMetrics
 
 
@@ -21,7 +22,48 @@ def brute_force_continuity(mask_grid, num_rbs):
     return history
 
 
+def reference_encode(env, normalize: bool) -> np.ndarray:
+    """[q^1 .. q^L, v, psi] built value by value, as the state is defined."""
+    se_bits = env.rb_bits * env.table.se_max
+    out = []
+    for entry in env.buffer:
+        if entry is None:
+            out += [0.0] * (env.R + 3)
+        elif normalize:
+            svc = entry.service
+            out += [svc.id, entry.ttl / svc.max_latency, entry.remaining_bits / svc.pdu_bits]
+            out += [bits / se_bits for bits in entry.deliverable]
+        else:
+            out += [entry.service.id, entry.ttl, entry.remaining_bits, *entry.deliverable]
+    psi = env.rl_step % env.R + 1
+    if normalize:
+        out += [vk / V_SCALE_CAP for vk in env.v.tolist()] + [psi / env.R]
+    else:
+        out += [*env.v.tolist(), psi]
+    return np.array(out, dtype=np.float64)
+
+
 class TestStateEncoding:
+    @pytest.mark.parametrize("num_rbs,buffer_len", [(6, 10), (1, 1), (25, 3)])
+    def test_encode_matches_reference_bytes(self, num_rbs, buffer_len):
+        e = make_env(buffer_len=buffer_len, num_rbs=num_rbs)
+        e.reset()
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            randomize_buffer(e, rng)
+            if trial == 0:
+                e.buffer[:] = [None] * e.L
+            elif trial == 1:
+                for j in range(e.L):
+                    put_entry(e, j, type_id=1 + j % 3, bits_per_rb=int(rng.integers(0, 1000)))
+            e.v[:] = rng.integers(0, 200, size=e.R)
+            for k in range(e.R):
+                e.rl_step = trial * e.R + k
+                for normalize in (True, False):
+                    got = e.encode(normalize)
+                    assert got.dtype == np.float64
+                    assert got.tobytes() == reference_encode(e, normalize).tobytes()
+
     def test_dimension_l10(self, env):
         assert env.state_dim() == 97
         assert env.encode().shape == (97,)
@@ -224,10 +266,10 @@ class TestTimeAdvance:
                      dist_min=400.0, dist_max=900.0)
         e.reset()
         entry = put_entry(e, 0, remaining=10**9)
-        entry.deliverable = np.arange(e.R, dtype=np.int64)  # sentinel
+        entry.deliverable = tuple(range(e.R))  # sentinel
         for _ in range(3 * e.R):
             e.step(0)
-        assert not np.array_equal(entry.deliverable, np.arange(e.R))
+        assert entry.deliverable != tuple(range(e.R))
 
     def test_psi_cycles(self):
         e = make_env(steps=5)

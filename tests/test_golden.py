@@ -1,4 +1,4 @@
-"""Golden fingerprints: four small runs whose artifacts must not change.
+"""Golden fingerprints: six small runs whose artifacts must not change.
 
 Each config runs through `harness.run` with an output directory. The test
 hashes the bytes of `summary.json` and of every CSV, and the key, dtype,
@@ -8,9 +8,11 @@ alone (a refactor or a speed-up) must keep this test passing. A change that
 alters the numbers re-pins them and says why.
 
 Scope: the fingerprints are bitwise on one machine and one BLAS build
-(OpenBLAS 0.3.31, Haswell kernel, numpy 2.4). Another CPU or BLAS may sum a
-matrix product in another order and change the DQN's bits; the greedy and
-random runs do no matrix products and should hold anywhere.
+(OpenBLAS 0.3.31, Haswell kernel, numpy 2.4). Every run goes through linear
+algebra: each fading draw is a matrix-vector product with the square root of
+the correlation matrix, and that root comes from LAPACK's `eigh`; the DQN
+adds its matrix products. Another CPU, BLAS or LAPACK may round these
+differently, so none of the fingerprints is promised to hold elsewhere.
 
 Print the current fingerprints with
 
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 from rbshare.agent import AgentConfig
+from rbshare.channel import ChannelParams
 from rbshare.harness import ExperimentConfig, run
 
 
@@ -37,6 +40,16 @@ def golden_configs() -> dict:
         "mt": ExperimentConfig(policy="mt", episodes=2, steps_per_episode=200),
         "ml+f": ExperimentConfig(policy="ml+f", episodes=2, steps_per_episode=200),
         "random": ExperimentConfig(policy="random", episodes=2, steps_per_episode=200),
+        # The continuity reward and the latency factor reach the DQN's
+        # weights; small-scale fading is redrawn every time step.
+        "dqn-shaped": ExperimentConfig(
+            policy="dqn", episodes=1, steps_per_episode=100, checkpoint=True,
+            eval_set=False, beta=0.5, delta=2.0, continuity_len=3,
+            channel=ChannelParams(coherence_time=1),
+            agent=AgentConfig(min_observations=100, target_sync=50)),
+        "mt+f-low": ExperimentConfig(
+            policy="mt+f", episodes=2, steps_per_episode=200, rate="low", buffer_len=3,
+            channel=ChannelParams(corr_param=0.5)),
     }
 
 
@@ -89,6 +102,19 @@ GOLDEN = {
         'latency_type2.csv': '90bfac4478682019579935e3d39537e459e2c00d2b48a629cb7b3122a98da75a',
         'learning_curve.csv': '2680da150ecb5dd521dce3dba178d2891fa89f9ad7bbde23821423c47add6a6e',
         'summary.json': '1a60e5264ec78147028aea5941398f000312b88c2208fd0fcf0ea772365f4eed',
+    },
+    'dqn-shaped': {
+        'latency_type1.csv': '7305a9c95d1d08b3b45e6d90acb068684105ca873d9bb3414a8beb8c0272595e',
+        'learning_curve.csv': 'e95079b355f7122cbe7c58998797ef1cc0cf464fe0df23065405b598b2c9ce4f',
+        'qnetwork.npz': '3448cec1f14a3c4bfdec62c01bc2b533938736ceb0310a27a790d5ecf5cff3b3',
+        'summary.json': '20cf9365cbf32c6eb4eca73dfa514a436d3cce88524e33ba014edd93ff9f3137',
+    },
+    'mt+f-low': {
+        'latency_type1.csv': '864946e26c7e6aeb563c67f65857bf18b56e7e2da591f6f4f22953c13dced228',
+        'latency_type2.csv': 'b4b0d2de7b301e47136194ead0229e12d90d442c0f573dd8ee7cabd9e6da144e',
+        'latency_type3.csv': 'e3105f5dd0d2433c6f0deafecb755b0861fd8f02d86add89c7d84b4f4ee5f552',
+        'learning_curve.csv': 'bab0014799b6a67ff34ad43b2a2969de4c92de457ae64f9c42c0190e2a5dcec1',
+        'summary.json': '2986af40ec7679a0c6765604ecf2de700a1651866b02d5b0dba851258870544b',
     },
 }
 

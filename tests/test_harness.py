@@ -42,10 +42,13 @@ class TestLoadConfig:
         pytest.param("agent.eps0 = 2", id="eps0"),
         pytest.param("agent.eps_inf = -0.5", id="eps_inf"),
         pytest.param("agent.eps_decay_steps = 0", id="eps_decay_steps"),
+        # A warm-up longer than the replay memory can hold never ends.
+        pytest.param("agent.min_observations = 40\nagent.replay_capacity = 10",
+                     id="min_observations"),
     ])
     def test_bad_agent_setting_names_key(self, tmp_path, setting):
         key = setting.split(" = ")[0]
-        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ":"):
             load_config(write_config(tmp_path, setting + "\n"))
 
     def test_unknown_key_rejected(self, tmp_path):

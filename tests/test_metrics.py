@@ -166,7 +166,7 @@ class TestUnlicensed:
 
     def test_saturated_cqi15(self):
         m = self.make_with_link()
-        m.unlicensed.bits_per_rb = np.full(6, 999)
+        m.unlicensed.bits_per_rb = (999,) * 6
         m.record(blank_outcome(v_final=np.full(6, 3)))
         assert m.se_unlicensed() == pytest.approx(999 / 180.0)
         assert m.unlicensed_rb_steps == 6

@@ -76,7 +76,7 @@ def test_accounting_closes(s):
         v = np.where(mask, 0, v + 1)
         free = v >= env.C
         rb_steps += int(free.sum())
-        bits += int(twin.bits_per_rb[free].sum())
+        bits += int(np.asarray(twin.bits_per_rb)[free].sum())
         twin.advance_time_step()
     assert len(env.mask_grid) == s["steps"]
     assert m.unlicensed_rb_steps == rb_steps
