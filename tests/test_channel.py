@@ -169,9 +169,60 @@ def test_link_deliverable_bits_matches_scalar_rules(corr_param, num_rbs):
     for dist_min, dist_max in ((10.0, 10.5), (99.5, 100.0), (400.0, 900.0)):
         p = params(corr_param=corr_param, num_rbs=num_rbs,
                    dist_min=dist_min, dist_max=dist_max)
-        for _ in range(700):
-            link = ch.draw_link(p, rng)
-            h = math.sqrt(link.large_scale) * link.small_scale
-            expected = [ch.deliverable_bits(ch.sinr_to_cqi(ch.sinr(p, hk), table), p, table)
-                        for hk in h]
-            assert list(ch.link_deliverable_bits(link, p, table)) == expected
+        links = [ch.draw_link(p, rng) for _ in range(700)]
+        check_against_scalar_rules(links, p, table)
+
+    # Links whose per-RB SINR lands within a few ulps of each CQI threshold
+    # 2**eff - 1, on both sides of it: random draws almost never do.
+    p = params(corr_param=corr_param, num_rbs=num_rbs)
+    unit = p.tx_power_total / p.num_rbs / ch.noise_power(p)  # SINR of |h| = 1
+    near = []
+    for eff in table.efficiencies[1:]:
+        h = math.sqrt((2.0 ** eff - 1.0) / unit)
+        for _ in range(24):
+            h = math.nextafter(h, 0.0)
+        for _ in range(48):
+            near.append(h)
+            h = math.nextafter(h, math.inf)
+    # Both pick CQI 15 for an infinite or a NaN capacity.
+    near += [0.0, math.inf, math.nan]
+    near += [0.0] * (-len(near) % num_rbs)
+    links = [ch.LinkState(large_scale=1.0, small_scale=np.array(near[i:i + num_rbs], complex))
+             for i in range(0, len(near), num_rbs)]
+    with np.errstate(invalid="ignore"):  # inf * 1.0 as a complex product
+        cqis = check_against_scalar_rules(links, p, table)
+    for cqi in range(1, 16):  # every threshold is crossed within the ulps tried
+        assert {cqi - 1, cqi} <= cqis
+
+
+def check_against_scalar_rules(links, p, table) -> set:
+    """Asserts each link's bit vector is the scalar chain's; returns the CQIs
+    the scalar chain met."""
+    cqis = set()
+    for link in links:
+        h = math.sqrt(link.large_scale) * link.small_scale
+        cqi = [ch.sinr_to_cqi(ch.sinr(p, hk), table) for hk in h]
+        cqis.update(cqi)
+        expected = [ch.deliverable_bits(c, p, table) for c in cqi]
+        assert list(ch.link_deliverable_bits(link, p, table)) == expected
+    return cqis
+
+
+@pytest.mark.parametrize("num_rbs", [1, 6, 25])
+@pytest.mark.parametrize("corr_param", [0.0, 0.001, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_redraw_small_scale_matches_sequential_draws(n, corr_param, num_rbs):
+    """One redraw of n links gives each link, byte for byte, what n
+    `sample_small_scale` calls in list order give, and uses as much of the
+    stream."""
+    p = params(corr_param=corr_param, num_rbs=num_rbs)
+    rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+    links = [ch.LinkState(large_scale=1.0, small_scale=np.zeros(num_rbs, complex))
+             for _ in range(n)]
+    for _ in range(3):
+        ch.redraw_small_scale(links, p, rng)
+        for link in links:
+            want = ch.sample_small_scale(p, twin)
+            assert link.small_scale.dtype == want.dtype
+            assert link.small_scale.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state

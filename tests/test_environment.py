@@ -37,9 +37,9 @@ def reference_encode(env, normalize: bool) -> np.ndarray:
             out += [entry.service.id, entry.ttl, entry.remaining_bits, *entry.deliverable]
     psi = env.rl_step % env.R + 1
     if normalize:
-        out += [vk / V_SCALE_CAP for vk in env.v.tolist()] + [psi / env.R]
+        out += [vk / V_SCALE_CAP for vk in env.v] + [psi / env.R]
     else:
-        out += [*env.v.tolist(), psi]
+        out += [*env.v, psi]
     return np.array(out, dtype=np.float64)
 
 
@@ -56,7 +56,7 @@ class TestStateEncoding:
             elif trial == 1:
                 for j in range(e.L):
                     put_entry(e, j, type_id=1 + j % 3, bits_per_rb=int(rng.integers(0, 1000)))
-            e.v[:] = rng.integers(0, 200, size=e.R)
+            e.v[:] = rng.integers(0, 200, size=e.R).tolist()
             for k in range(e.R):
                 e.rl_step = trial * e.R + k
                 for normalize in (True, False):
@@ -112,7 +112,7 @@ class TestActionSemantics:
         entry = put_entry(env, 0)
         out = env.step(0)
         assert out.reward == 0.0
-        assert not env.mask.any()
+        assert not any(env.mask)
         assert entry.remaining_bits == 3200
 
     def test_delivery_and_satisfaction(self, env):
@@ -128,7 +128,7 @@ class TestActionSemantics:
         out = env.step(8)  # empty slot -> invalid
         assert out.reward == -1.0
         assert out.alloc_se == 0.0 and out.delivered_bits == 0
-        assert not env.mask.any()
+        assert not any(env.mask)
 
     def test_se_values(self, env):
         put_entry(env, 0)

@@ -51,6 +51,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ":"):
             load_config(write_config(tmp_path, setting + "\n"))
 
+    # Run-length settings below 1 used to load: `max_rl_steps = 0` ended in a
+    # traceback, `learning_window = 0` raised only after the whole run.
+    @pytest.mark.parametrize("key", ["run.max_rl_steps", "run.learning_window"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_run_length_below_one_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ": must be >= 1$"):
+            load_config(write_config(tmp_path, f"{key} = {value}\n"))
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, "agent.optimizer = adam\n"))
@@ -231,6 +239,16 @@ class TestCli:
         cfg = write_config(tmp_path, "nonsense = 1\n")
         assert cli.main(["run", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["run.max_rl_steps", "run.learning_window"])
+    def test_run_length_zero_exit_code(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, f"{key} = 0\nrun.episodes = 1\n"
+                                     "run.steps_per_episode = 20\nrun.policy = mt\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: must be >= 1\n"
+        assert not out.exists()  # rejected before anything is written
 
     def test_training_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "agent.learning_rate = 1e6\n"
