@@ -166,12 +166,12 @@ class ReplayMemory:
     allocated empty, so only the rows written ever take up memory.
     """
 
-    def __init__(self, capacity: int, state_dim: int, dtype=np.float32):
+    def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.states = np.empty((capacity, state_dim), dtype=dtype)
-        self.next_states = np.empty((capacity, state_dim), dtype=dtype)
+        self.states = np.empty((capacity, state_dim), dtype=np.float32)
+        self.next_states = np.empty((capacity, state_dim), dtype=np.float32)
         self.actions = np.empty(capacity, dtype=np.int64)
         self.rewards = np.empty(capacity, dtype=np.float64)
         self.terminal = np.empty(capacity, dtype=bool)
@@ -200,8 +200,7 @@ class ReplayMemory:
 # -- schedules / action selection -----------------------------------------------
 
 
-def epsilon_value(i: int, eps0: float = 1.0, eps_inf: float = 0.01,
-                  decay_steps: int = 80_000) -> float:
+def epsilon_value(i: int, eps0: float, eps_inf: float, decay_steps: int) -> float:
     """Linear decay from eps0 to eps_inf over `decay_steps` RL steps."""
     if i >= decay_steps:
         return eps_inf
@@ -271,13 +270,12 @@ class DQNPolicy:
     """
 
     def __init__(self, state_dim: int, n_actions: int, config: AgentConfig,
-                 init_rng: np.random.Generator, explore_rng: np.random.Generator,
-                 dtype=np.float32):
+                 init_rng: np.random.Generator, explore_rng: np.random.Generator):
         sizes = [state_dim, *config.hidden, n_actions]
         self.config = config
-        self.net = MLP(sizes, rng=init_rng, init_std=config.init_std, dtype=dtype)
+        self.net = MLP(sizes, rng=init_rng, init_std=config.init_std, dtype=np.float32)
         self.target = self.net.clone()
-        self.memory = ReplayMemory(config.replay_capacity, state_dim, dtype)
+        self.memory = ReplayMemory(config.replay_capacity, state_dim)
         self.state: np.ndarray | None = None     # encoded current state
         self.explore_rng = explore_rng
         self.global_step = 0            # drives the ε schedule
@@ -352,7 +350,17 @@ class CallablePolicy:
 
 
 def random_policy(rng: np.random.Generator) -> CallablePolicy:
-    return CallablePolicy(lambda env: int(rng.integers(0, env.L + 1)))
+    """Uniform over 0..L, for one environment, drawn 1024 actions at a time:
+    the bit generator keeps the spare half of each 64-bit draw, so a block
+    gives the same actions as one draw per step."""
+    block: list[int] = []   # reversed, so pop() serves them in order
+
+    def act(env: SchedulingEnv) -> int:
+        if not block:
+            block.extend(reversed(rng.integers(0, env.L + 1, size=1024).tolist()))
+        return block.pop()
+
+    return CallablePolicy(act)
 
 
 def fixed_split(policy, licensed_rbs: int) -> CallablePolicy:

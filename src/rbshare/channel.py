@@ -103,8 +103,10 @@ def sample_large_scale(params: ChannelParams, rng: np.random.Generator):
 
     The gain stays fixed for the request's whole lifetime.
     """
-    d = rng.uniform(params.dist_min, params.dist_max)
-    shadowing = rng.normal(0.0, params.shadowing_sigma)
+    # Exactly what `rng.uniform` and `rng.normal` compute (same values and
+    # stream), without their argument handling, which costs more than the draw.
+    d = params.dist_min + (params.dist_max - params.dist_min) * rng.random()
+    shadowing = params.shadowing_sigma * rng.standard_normal()
     l_db = (
         free_space_constant(params)
         - 10.0 * params.path_loss_exponent * math.log10(d / params.ref_distance)

@@ -89,7 +89,6 @@ class SchedulingEnv:
         steps_per_episode: int,
         traffic_rng: np.random.Generator,
         channel_rng: np.random.Generator,
-        record_grid: bool = False,
     ):
         if buffer_len < 1 or continuity_len < 1 or steps_per_episode < 1:
             raise ValueError("buffer_len, continuity_len, steps_per_episode must be >= 1")
@@ -106,7 +105,6 @@ class SchedulingEnv:
         self.steps_per_episode = steps_per_episode
         self.traffic_rng = traffic_rng
         self.channel_rng = channel_rng
-        self.record_grid = record_grid
         self.rb_bits = params.rb_bandwidth * params.rb_duration  # bits per unit SE
         self.se_max = table.se_max
 
@@ -125,8 +123,6 @@ class SchedulingEnv:
             self.catalog_list, self.steps_per_episode, self.traffic_rng
         )
         self._pending = list(reversed(arrivals))  # pop() yields earliest first
-        self.mask_grid: list[np.ndarray] = []
-        self.v_history: list[np.ndarray] = []
 
     @property
     def psi(self) -> int:
@@ -145,8 +141,8 @@ class SchedulingEnv:
     def state_dim(self) -> int:
         return (self.R + 3) * self.L + self.R + 1
 
-    def encode(self, normalize: bool = True) -> np.ndarray:
-        """Flatten to [q^1 .. q^L, v, psi]; empty slots contribute zeros."""
+    def encode(self) -> np.ndarray:
+        """Flatten to the normalized [q^1 .. q^L, v, psi]; empty slots give zeros."""
         out = np.zeros(self.state_dim(), dtype=np.float64)
         vbase = (self.R + 3) * self.L
         q = out[:vbase].reshape(self.L, self.R + 3)
@@ -156,28 +152,17 @@ class SchedulingEnv:
             row = q[j]
             svc = entry.service
             row[0] = svc.id
-            if normalize:
-                row[1] = entry.ttl / svc.max_latency
-                row[2] = entry.remaining_bits / svc.pdu_bits
-            else:
-                row[1] = entry.ttl
-                row[2] = entry.remaining_bits
+            row[1] = entry.ttl / svc.max_latency
+            row[2] = entry.remaining_bits / svc.pdu_bits
             row[3:] = entry.deliverable
-        if normalize:
-            # Each bit count divided once, as float(bits) / (W*T*se_max).
-            q[:, 3:] /= self.rb_bits * self.se_max
-            out[vbase:-1] = self.v
-            out[vbase:-1] /= V_SCALE_CAP
-            out[-1] = self.psi / self.R
-        else:
-            out[vbase:-1] = self.v
-            out[-1] = self.psi
+        # Each bit count divided once, as float(bits) / (W*T*se_max).
+        q[:, 3:] /= self.rb_bits * self.se_max
+        out[vbase:-1] = self.v
+        out[vbase:-1] /= V_SCALE_CAP
+        out[-1] = self.psi / self.R
         return out
 
     # -- dynamics -------------------------------------------------------------
-
-    def continuity_indicator(self, v_k: int) -> int:
-        return 1 if v_k >= self.C else 0
 
     def step(self, action: int) -> StepOutcome:
         """Allocate the current RB (action 0 leaves it free, j serves slot j)."""
@@ -233,9 +218,6 @@ class SchedulingEnv:
                                           self.alpha, self.beta, self.delta, self.R)
                 if invalid:
                     reward += -1.0
-            if self.record_grid:
-                self.mask_grid.append(np.array(self.mask))
-                self.v_history.append(np.array(self.v))
             resolved, accepted, dropped = self._advance_time_step(resolved)
             self.mask = [False] * self.R
             self.r1 = 0.0

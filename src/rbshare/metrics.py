@@ -45,7 +45,7 @@ class RunMetrics:
     rb_bits: float                     # W*T, bits per unit spectral efficiency
     num_rbs: int
     continuity_len: int
-    unlicensed: UnlicensedLink | None = None
+    unlicensed: UnlicensedLink
 
     rl_steps: int = 0
     # RL step and achievable SE (b/s/Hz) of each attempted allocation.
@@ -84,12 +84,11 @@ class RunMetrics:
         v = out.v_final
         if v is not None:
             self.time_steps += 1
-            if self.unlicensed is not None:
-                for vk, bits in zip(v, self.unlicensed.bits_per_rb):
-                    if vk >= self.continuity_len:
-                        self.unlicensed_rb_steps += 1
-                        self.unlicensed_bits += bits
-                self.unlicensed.advance_time_step()
+            for vk, bits in zip(v, self.unlicensed.bits_per_rb):
+                if vk >= self.continuity_len:
+                    self.unlicensed_rb_steps += 1
+                    self.unlicensed_bits += bits
+            self.unlicensed.advance_time_step()
 
     # -- derived quantities ------------------------------------------------------
 
@@ -122,21 +121,21 @@ class RunMetrics:
                 out.append((lat, i / n))
         return out
 
-    def windowed_se(self, window: int, sample_every_steps: int = 100):
+    def windowed_se(self, window: int):
         """Trailing-window mean of the RL-step SE samples.
 
         The learning curve averages the achievable-SE samples of the attempted
         allocations that fall inside the trailing `window` RL steps (idle RBs
-        and empty-buffer steps contribute no sample).  Sampled once every
-        `sample_every_steps` time steps; returns a list of (time_step, mean)
-        pairs, with 0.0 for a window holding no allocation attempts.
+        and empty-buffer steps contribute no sample).  Sampled once every 100
+        time steps; returns a list of (time_step, mean) pairs, with 0.0 for a
+        window holding no allocation attempts.
         """
         if window < 1:
             raise ValueError("window must be >= 1")
         idx = np.frombuffer(self.alloc_steps, dtype=np.int64)
         cum = np.concatenate([[0.0], np.cumsum(np.frombuffer(self.alloc_se))])
         out = []
-        for n in range(sample_every_steps, self.time_steps + 1, sample_every_steps):
+        for n in range(100, self.time_steps + 1, 100):
             hi = np.searchsorted(idx, n * self.num_rbs, side="left")
             lo = np.searchsorted(idx, n * self.num_rbs - window, side="left")
             out.append((n, float((cum[hi] - cum[lo]) / (hi - lo)) if hi > lo else 0.0))

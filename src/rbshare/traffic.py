@@ -7,6 +7,7 @@ latency budgets in steps live on the same axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ def service_catalog(rate_profile: str) -> list[ServiceType]:
 def sample_interarrival(mean: float, rng: np.random.Generator) -> float:
     if mean <= 0:
         raise ValueError("mean inter-arrival time must be positive")
-    return rng.exponential(mean)
+    return mean * rng.standard_exponential()  # what `rng.exponential(mean)` computes
 
 
 def generate_arrivals(
@@ -67,7 +68,7 @@ def generate_arrivals(
     for svc in catalog:
         t = sample_interarrival(svc.mean_interarrival, rng)
         while t < horizon:
-            requests.append(Request(int(np.ceil(t)), svc.id, t))
+            requests.append(Request(math.ceil(t), svc.id, t))
             t += sample_interarrival(svc.mean_interarrival, rng)
     requests.sort(key=lambda r: (r.arrival_step, r.service_id, r.exact_time))
     return requests

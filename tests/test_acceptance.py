@@ -13,13 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_env, put_entry
+from conftest import GridRecorder, env_metrics, make_env, put_entry
 from test_agent import oracle_ml, oracle_mt, randomize_buffer
 
-from rbshare.agent import MLP, epsilon_value, ml_action, mt_action
+from rbshare.agent import MLP, AgentConfig, epsilon_value, ml_action, mt_action
 from rbshare.environment import aggregate_reward
 from rbshare.harness import ExperimentConfig, run
-from rbshare.metrics import RunMetrics
 
 
 def report(num: int, ok: bool, detail: str):
@@ -62,15 +61,16 @@ def test_criterion_01_learning_curves():
 
 
 def test_criterion_02_epsilon_schedule():
+    c = AgentConfig()  # the paper's schedule: 1 -> 0.01 over 80 000 RL steps
+    eps = lambda i: epsilon_value(i, c.eps0, c.eps_inf, c.eps_decay_steps)
     closed_form = lambda i: 1.0 - i * (1.0 - 0.01) / 80_000
-    checks = (epsilon_value(0) == 1.0,
-              epsilon_value(40_000) == closed_form(40_000),
-              abs(epsilon_value(40_000) - 0.505) < 1e-12,
-              epsilon_value(80_000) == 0.01,
-              epsilon_value(10 ** 7) == 0.01)
+    checks = (eps(0) == 1.0,
+              eps(40_000) == closed_form(40_000),
+              abs(eps(40_000) - 0.505) < 1e-12,
+              eps(80_000) == 0.01,
+              eps(10 ** 7) == 0.01)
     ok = all(checks)
-    report(2, ok, f"ε(0)={epsilon_value(0)}, ε(40000)={epsilon_value(40_000)!r}, "
-                  f"ε(80000)={epsilon_value(80_000)}")
+    report(2, ok, f"ε(0)={eps(0)}, ε(40000)={eps(40_000)!r}, ε(80000)={eps(80_000)}")
     assert ok
 
 
@@ -153,18 +153,19 @@ def test_criterion_06_continuity_brute_force():
     bad = 0
     for ep in range(1000):
         env = make_env(steps=20, seed=int(rng.integers(2 ** 31)),
-                       continuity_len=int(rng.integers(1, 7)), record_grid=True)
+                       continuity_len=int(rng.integers(1, 7)))
+        rec = GridRecorder(env)
         env.reset()
         while not env.done:
             env.step(int(rng.integers(0, env.L + 1)))
-        recount = brute_force_continuity(env.mask_grid)
-        for got, want in zip(env.v_history, recount):
+        recount = brute_force_continuity(rec.mask_grid)
+        for got, want in zip(rec.v_history, recount):
             if not np.array_equal(got, want):
                 bad += 1
     env = make_env(continuity_len=2)
     env.reset()
     env.v[:] = [1, 1, 1, 1, 1, 2]
-    qualifying = [k for k in range(env.R) if env.continuity_indicator(env.v[k])]
+    qualifying = [k for k in range(env.R) if env.v[k] >= env.C]
     ok = bad == 0 and qualifying == [env.R - 1]
     report(6, ok, f"{bad} continuity mismatches over 10^3 episodes; "
                   f"qualifying RBs for v=[1,1,1,1,1,2], C=2: {qualifying}")
@@ -179,8 +180,7 @@ def test_criterion_07_bit_conservation():
     for ep in range(1000):
         env = make_env(steps=20, seed=int(rng.integers(2 ** 31)))
         env.reset()
-        m = RunMetrics(rb_bits=env.rb_bits, num_rbs=env.R,
-                       continuity_len=env.C)
+        m = env_metrics(env)
         while not env.done:
             action = int(rng.integers(0, env.L + 1))
             # What the current RB can carry to the chosen request, if any.

@@ -174,10 +174,12 @@ class TestTargetsAndSync:
 
 class TestEpsilon:
     def test_schedule_points(self):
-        assert ag.epsilon_value(0) == 1.0
-        assert ag.epsilon_value(40_000) == pytest.approx(0.505, abs=1e-12)
-        assert ag.epsilon_value(80_000) == 0.01
-        assert ag.epsilon_value(123_456) == 0.01
+        c = ag.AgentConfig()
+        eps = [ag.epsilon_value(i, c.eps0, c.eps_inf, c.eps_decay_steps)
+               for i in (0, 40_000, 80_000, 123_456)]
+        assert eps[0] == 1.0
+        assert eps[1] == pytest.approx(0.505, abs=1e-12)
+        assert eps[2:] == [0.01, 0.01]
 
     def test_greedy_argmax_and_ties(self):
         net = ag.MLP([3, 4])
@@ -314,6 +316,22 @@ class TestBaselines:
             randomize_buffer(env, rng)
             assert ag.mt_action(env) == oracle_mt(env)
             assert ag.ml_action(env) == oracle_ml(env)
+
+
+class TestRandomPolicy:
+    @pytest.mark.parametrize("buffer_len", [1, 6, 10, 999])
+    def test_matches_scalar_draws(self, buffer_len):
+        """Served from blocks, the actions are those of one
+        `rng.integers(0, L + 1)` call per step, and after whole blocks the
+        generator is where those calls leave it."""
+        env = make_env(buffer_len=buffer_len)
+        env.reset()
+        rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+        policy = ag.random_policy(rng)
+        got = [policy.act(env) for _ in range(5 * 1024)]
+        assert all(type(a) is int for a in got)
+        assert got == [int(twin.integers(0, buffer_len + 1)) for _ in range(5 * 1024)]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestFixedSplit:

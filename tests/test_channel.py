@@ -49,6 +49,23 @@ class TestLargeScale:
         ds = np.array([ch.sample_large_scale(p, rng)[0] for _ in range(2000)])
         assert ds.min() >= p.dist_min and ds.max() <= p.dist_max
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dist_min": 400.0, "dist_max": 900.0}, {"shadowing_sigma": 0.0},
+        {"dist_min": 10.0, "dist_max": 10.5, "shadowing_sigma": 1.0},
+    ])
+    def test_matches_uniform_and_normal_draws(self, overrides):
+        """The placements and gains that `rng.uniform` for the distance and
+        `rng.normal` for the shadowing give, from as much of the stream."""
+        p = params(**overrides)
+        rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+        k = ch.free_space_constant(p)
+        for _ in range(20_000):
+            d = twin.uniform(p.dist_min, p.dist_max)
+            shadowing = twin.normal(0.0, p.shadowing_sigma)
+            l_db = k - 10.0 * p.path_loss_exponent * math.log10(d / p.ref_distance) + shadowing
+            assert ch.sample_large_scale(p, rng) == (d, 10.0 ** (l_db / 10.0))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestSmallScale:
     def test_omega_zero_identity_covariance(self):
@@ -206,6 +223,25 @@ def check_against_scalar_rules(links, p, table) -> set:
         expected = [ch.deliverable_bits(c, p, table) for c in cqi]
         assert list(ch.link_deliverable_bits(link, p, table)) == expected
     return cqis
+
+
+@pytest.mark.parametrize("num_rbs", [1, 6, 25])
+@pytest.mark.parametrize("corr_param", [0.0, 0.001, 0.5, 1.0])
+def test_sample_small_scale_matches_reference_bytes(corr_param, num_rbs):
+    """Each draw is, byte for byte, the correlation root times
+    (x[:R] + j x[R:]) / sqrt(2) of 2R standard normals, with numpy's
+    complex-by-real division (a multiply by the reciprocal; a true complex
+    division differs in about a quarter of the values)."""
+    p = params(corr_param=corr_param, num_rbs=num_rbs)
+    root = ch._sqrt_correlation(corr_param, num_rbs)
+    rng, twin = np.random.default_rng(18), np.random.default_rng(18)
+    for _ in range(200):
+        x = twin.standard_normal(2 * num_rbs)
+        want = root @ ((x[:num_rbs] + 1j * x[num_rbs:]) / math.sqrt(2.0))
+        got = ch.sample_small_scale(p, rng)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("num_rbs", [1, 6, 25])

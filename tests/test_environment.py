@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import Ledger, make_env, put_entry
+from conftest import GridRecorder, Ledger, env_metrics, make_env, put_entry
 from test_agent import randomize_buffer
 from rbshare import traffic as tr
 from rbshare.environment import V_SCALE_CAP, aggregate_reward
-from rbshare.metrics import RunMetrics
 
 
 def brute_force_continuity(mask_grid, num_rbs):
@@ -22,24 +21,19 @@ def brute_force_continuity(mask_grid, num_rbs):
     return history
 
 
-def reference_encode(env, normalize: bool) -> np.ndarray:
+def reference_encode(env) -> np.ndarray:
     """[q^1 .. q^L, v, psi] built value by value, as the state is defined."""
     se_bits = env.rb_bits * env.table.se_max
     out = []
     for entry in env.buffer:
         if entry is None:
             out += [0.0] * (env.R + 3)
-        elif normalize:
+        else:
             svc = entry.service
             out += [svc.id, entry.ttl / svc.max_latency, entry.remaining_bits / svc.pdu_bits]
             out += [bits / se_bits for bits in entry.deliverable]
-        else:
-            out += [entry.service.id, entry.ttl, entry.remaining_bits, *entry.deliverable]
     psi = env.rl_step % env.R + 1
-    if normalize:
-        out += [vk / V_SCALE_CAP for vk in env.v] + [psi / env.R]
-    else:
-        out += [*env.v, psi]
+    out += [vk / V_SCALE_CAP for vk in env.v] + [psi / env.R]
     return np.array(out, dtype=np.float64)
 
 
@@ -59,10 +53,9 @@ class TestStateEncoding:
             e.v[:] = rng.integers(0, 200, size=e.R).tolist()
             for k in range(e.R):
                 e.rl_step = trial * e.R + k
-                for normalize in (True, False):
-                    got = e.encode(normalize)
-                    assert got.dtype == np.float64
-                    assert got.tobytes() == reference_encode(e, normalize).tobytes()
+                got = e.encode()
+                assert got.dtype == np.float64
+                assert got.tobytes() == reference_encode(e).tobytes()
 
     def test_dimension_l10(self, env):
         assert env.state_dim() == 97
@@ -73,30 +66,31 @@ class TestStateEncoding:
         e.reset()
         assert e.state_dim() == 367
 
-    def test_reset_state_raw(self, env):
-        raw = env.encode(normalize=False)
-        assert raw[-1] == 1  # psi
-        assert not raw[:-1].any()
+    def test_reset_state(self, env):
+        state = env.encode()
+        assert state[-1] == 1 / env.R  # psi = 1
+        assert not state[:-1].any()
 
-    def test_admitted_request_block_raw(self, env):
-        put_entry(env, slot=0, type_id=1)
-        raw = env.encode(normalize=False)
-        assert raw[0] == 1          # service id
-        assert raw[1] == 150        # ttl
-        assert raw[2] == 3200       # remaining bits
-        assert np.all(raw[3:9] == 999)
+    def test_admitted_request_block(self, env):
+        put_entry(env, slot=0, type_id=1, ttl=75, remaining=800)
+        state = env.encode()
+        assert state[0] == 1                        # service id
+        assert state[1] == 75 / 150                 # ttl / latency budget
+        assert state[2] == 800 / 3200               # remaining bits / PDU bits
+        assert np.all(state[3:9] == 999 / (env.rb_bits * env.table.se_max))
+        assert not state[9:-1].any()
 
     def test_v_and_psi_layout(self, env):
         env.v[:] = [2, 0, 0, 0, 0, 0]
         env.rl_step = 2  # psi = 3
-        raw = env.encode(normalize=False)
-        assert list(raw[90:96]) == [2, 0, 0, 0, 0, 0]
-        assert raw[96] == 3
+        state = env.encode()
+        assert list(state[90:96]) == [2 / V_SCALE_CAP, 0, 0, 0, 0, 0]
+        assert state[96] == 3 / env.R
 
     def test_psi_mutation_changes_one_coordinate(self, env):
-        before = env.encode(normalize=False)
+        before = env.encode()
         env.rl_step += 1
-        after = env.encode(normalize=False)
+        after = env.encode()
         assert (before != after).sum() == 1
 
     def test_normalized_fields_bounded(self, env):
@@ -142,14 +136,30 @@ class TestActionSemantics:
 
 
 class TestContinuity:
-    def test_indicator(self, env):
-        assert env.continuity_indicator(2) == 1
-        assert env.continuity_indicator(0) == 0
+    @staticmethod
+    def continuity_reward(v_before):
+        """The reward of a time step that leaves every RB free, from counters
+        `v_before`, with only the continuity term weighted; and the counters
+        it ends with."""
+        e = make_env(alpha=0.0, beta=1.0, continuity_len=2)
+        e.reset()
+        put_entry(e, 0, remaining=10**9)  # a live request, so a reward is paid
+        e.v[:] = v_before
+        rewards = [e.step(0).reward for _ in range(e.R)]
+        assert rewards[:-1] == [0.0] * (e.R - 1)
+        return rewards[-1], e.v
 
-    def test_fig1_snapshot(self, env):
-        v = [1, 1, 1, 1, 1, 2]
-        qualifying = [k for k in range(6) if env.continuity_indicator(v[k])]
-        assert qualifying == [5]  # only RB R
+    def test_indicator(self):
+        # Counters 1 (= C - 1) do not count, 2 and more do.
+        reward, v = self.continuity_reward([0, 1, 2, 0, 1, 5])
+        assert v == [1, 2, 3, 1, 2, 6]
+        assert reward == aggregate_reward(0.0, 4, 1.0, 0.0, 1.0, math.inf, 6)
+
+    def test_fig1_snapshot(self):
+        reward, v = self.continuity_reward([0, 0, 0, 0, 0, 1])
+        assert v == [1, 1, 1, 1, 1, 2]
+        # Only RB R qualifies.
+        assert reward == aggregate_reward(0.0, 1, 1.0, 0.0, 1.0, math.inf, 6)
 
     def test_free_rb_increments(self, env):
         env.v[:] = [1, 0, 0, 0, 0, 0]
@@ -167,13 +177,14 @@ class TestContinuity:
     def test_brute_force_replay(self):
         rng = np.random.default_rng(11)
         for seed in range(20):
-            e = make_env(steps=30, seed=seed, record_grid=True)
+            e = make_env(steps=30, seed=seed)
+            rec = GridRecorder(e)
             e.reset()
             while not e.done:
                 e.step(int(rng.integers(0, e.L + 1)))
-            expected = brute_force_continuity(e.mask_grid, e.R)
-            assert len(expected) == len(e.v_history)
-            for got, want in zip(e.v_history, expected):
+            expected = brute_force_continuity(rec.mask_grid, e.R)
+            assert len(expected) == len(rec.v_history) == 30
+            for got, want in zip(rec.v_history, expected):
                 assert np.array_equal(got, want)
 
 
@@ -212,7 +223,7 @@ class TestReward:
         for _ in range(e.R - 1):
             e.step(0)
         out = e.step(9)  # invalid on RB R
-        agg = aggregate_reward(0.0, sum(e.continuity_indicator(v) for v in e.v),
+        agg = aggregate_reward(0.0, sum(v >= e.C for v in e.v),
                                1.0, e.alpha, e.beta, e.delta, e.R)
         assert out.reward == pytest.approx(-1.0 + agg)
 
@@ -253,7 +264,7 @@ class TestTimeAdvance:
         arrivals = tr.generate_arrivals(e.catalog_list, e.steps_per_episode,
                                         copy.deepcopy(e.traffic_rng))
         e.reset()
-        m = RunMetrics(rb_bits=e.rb_bits, num_rbs=e.R, continuity_len=e.C)
+        m = env_metrics(e)
         ledger = Ledger()
         while not e.done:
             m.record(ledger.step(e, 0))  # never serve: buffer saturates, arrivals drop

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import Ledger, make_env
+from conftest import GridRecorder, Ledger, make_env
 from rbshare import channel as ch
 from rbshare.agent import CallablePolicy, fixed_split, mt_action
 from rbshare.environment import StepOutcome
 from rbshare.metrics import RunMetrics, UnlicensedLink
 
 
-def bare_metrics(**kw):
-    return RunMetrics(rb_bits=180.0, num_rbs=6, continuity_len=2, **kw)
+def bare_metrics(unlicensed=None):
+    if unlicensed is None:
+        unlicensed = UnlicensedLink(ch.ChannelParams(), ch.default_cqi_table(),
+                                    np.random.default_rng(0))
+    return RunMetrics(rb_bits=180.0, num_rbs=6, continuity_len=2, unlicensed=unlicensed)
 
 
 def blank_outcome(**fields):
@@ -182,7 +185,8 @@ class TestUnlicensed:
         assert m.unlicensed_rb_steps >= 2 * (30 - 2)
 
     def test_count_matches_brute_force_grid(self):
-        env = make_env(steps=60, seed=7, record_grid=True)
+        env = make_env(steps=60, seed=7)
+        rec = GridRecorder(env)
         env.reset()
         m = self.make_with_link()
         rng = np.random.default_rng(1)
@@ -190,7 +194,7 @@ class TestUnlicensed:
             m.record(env.step(int(rng.integers(0, env.L + 1))))
         v = np.zeros(env.R, dtype=int)
         expected = 0
-        for mask in env.mask_grid:
+        for mask in rec.mask_grid:
             v = np.where(mask, 0, v + 1)
             expected += int((v >= env.C).sum())
         assert m.unlicensed_rb_steps == expected

@@ -8,10 +8,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Ledger, make_env
+from conftest import GridRecorder, Ledger, env_metrics, make_env
 from rbshare import traffic as tr
 from rbshare.agent import CallablePolicy, fixed_split, ml_action, mt_action, random_policy
-from rbshare.metrics import RunMetrics, UnlicensedLink
+from rbshare.metrics import UnlicensedLink
 
 
 @st.composite
@@ -41,14 +41,13 @@ def make_policy(name: str, licensed_rbs: int, rng):
 @given(scenarios())
 def test_accounting_closes(s):
     env = make_env(buffer_len=s["buffer_len"], continuity_len=s["continuity_len"],
-                   steps=s["steps"], rate=s["rate"], seed=s["seed"], record_grid=True,
+                   steps=s["steps"], rate=s["rate"], seed=s["seed"],
                    num_rbs=s["num_rbs"])
+    rec = GridRecorder(env)
     arrivals = tr.generate_arrivals(env.catalog_list, env.steps_per_episode,
                                     copy.deepcopy(env.traffic_rng))
     link_seed = s["seed"] + 1
-    m = RunMetrics(rb_bits=env.rb_bits, num_rbs=env.R, continuity_len=env.C,
-                   unlicensed=UnlicensedLink(env.params, env.table,
-                                             np.random.default_rng(link_seed)))
+    m = env_metrics(env, link_seed)
     twin = UnlicensedLink(env.params, env.table, np.random.default_rng(link_seed))
     policy = make_policy(s["policy"], s["licensed_rbs"], np.random.default_rng(s["seed"]))
     ledger = Ledger()
@@ -72,12 +71,12 @@ def test_accounting_closes(s):
     # with a twin of the link.
     v = np.zeros(env.R, dtype=np.int64)
     rb_steps = bits = 0
-    for mask in env.mask_grid:
+    for mask in rec.mask_grid:
         v = np.where(mask, 0, v + 1)
         free = v >= env.C
         rb_steps += int(free.sum())
         bits += int(np.asarray(twin.bits_per_rb)[free].sum())
         twin.advance_time_step()
-    assert len(env.mask_grid) == s["steps"]
+    assert len(rec.mask_grid) == s["steps"]
     assert m.unlicensed_rb_steps == rb_steps
     assert m.unlicensed_bits == bits

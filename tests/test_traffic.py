@@ -45,6 +45,24 @@ class TestInterarrival:
 
 
 class TestArrivals:
+    @pytest.mark.parametrize("rate", tr.RATE_PROFILES)
+    def test_matches_exponential_draws(self, rate):
+        """The requests that gaps drawn with `rng.exponential(mean)` and
+        `np.ceil` give, at every catalog mean, from as much of the stream."""
+        cat = tr.service_catalog(rate)
+        rng, twin = np.random.default_rng(16), np.random.default_rng(16)
+        reqs = tr.generate_arrivals(cat, 50_000, rng)
+        want = []
+        for svc in cat:
+            t = twin.exponential(svc.mean_interarrival)
+            while t < 50_000:
+                want.append(tr.Request(int(np.ceil(t)), svc.id, t))
+                t += twin.exponential(svc.mean_interarrival)
+        want.sort(key=lambda r: (r.arrival_step, r.service_id, r.exact_time))
+        assert reqs == want
+        assert all(type(r.arrival_step) is int for r in reqs)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_counts_near_expected(self):
         cat = tr.service_catalog("high")
         reqs = tr.generate_arrivals(cat, 100_000, np.random.default_rng(3))
