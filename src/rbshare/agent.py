@@ -48,12 +48,7 @@ class MLP:
             raise ValueError(
                 f"input dim {a.shape[-1]} != network input {self.layer_sizes[0]}"
             )
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i != last:
-                np.maximum(a, 0.0, out=a)
-        return a
+        return self._forward_cached(a)[-1]
 
     def _forward_cached(self, x: np.ndarray):
         activations = [np.asarray(x, dtype=self.dtype)]

@@ -174,34 +174,30 @@ def sinr(params: ChannelParams, h_k: complex) -> float:
     return (params.tx_power_total / params.num_rbs) * abs(h_k) ** 2 / noise_power(params)
 
 
-def sinr_to_cqi(sinr_linear: float, table: CqiTable) -> int:
+def sinr_to_cqi(sinr_linear: float) -> int:
     """Largest CQI whose efficiency stays below channel capacity.
 
     CQI 0 when even the lowest rate would exceed log2(1 + SINR).
     """
     capacity = math.log2(1.0 + sinr_linear)
     cqi = 15
-    while cqi > 0 and table.efficiencies[cqi] > capacity:
+    while cqi > 0 and LTE_CQI_EFFICIENCY[cqi] > capacity:
         cqi -= 1
     return cqi
 
 
-def cqi_to_se(cqi: int, table: CqiTable) -> float:
+def cqi_to_se(cqi: int) -> float:
     if not 0 <= cqi <= 15:
         raise ValueError(f"CQI out of range: {cqi}")
-    return table.efficiencies[cqi]
+    return LTE_CQI_EFFICIENCY[cqi]
 
 
-def deliverable_bits(cqi: int, params: ChannelParams, table: CqiTable) -> int:
+def deliverable_bits(cqi: int, params: ChannelParams) -> int:
     """Whole bits deliverable on one RB at the given CQI."""
-    return int(
-        math.floor(params.rb_bandwidth * params.rb_duration * cqi_to_se(cqi, table))
-    )
+    return int(math.floor(params.rb_bandwidth * params.rb_duration * cqi_to_se(cqi)))
 
 
-def link_deliverable_bits(
-    link: LinkState, params: ChannelParams, table: CqiTable
-) -> tuple[int, ...]:
+def link_deliverable_bits(link: LinkState, params: ChannelParams) -> tuple[int, ...]:
     """Per-RB deliverable bit counts for a link (Def.-style t vector).
 
     The same chain as `sinr`, `sinr_to_cqi` and `deliverable_bits` RB by RB,
@@ -214,7 +210,7 @@ def link_deliverable_bits(
     p_rb = params.tx_power_total / params.num_rbs
     n0 = noise_power(params)
     wt = params.rb_bandwidth * params.rb_duration
-    eff = table.efficiencies
+    eff = LTE_CQI_EFFICIENCY
     g = math.sqrt(link.large_scale)  # a complex times a real: the same product as numpy's
     return tuple([
         math.floor(wt * eff[bisect_right(eff, math.log2(1.0 + p_rb * abs(hk * g) ** 2 / n0)) - 1])

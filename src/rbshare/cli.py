@@ -46,7 +46,6 @@ def main(argv=None) -> int:
                 config.continuity_len = args.continuity
             if args.buffer is not None:
                 config.buffer_len = args.buffer
-            config.validate()
             artifacts = harness.run(config, out_dir=args.out)
             for key in ("se_licensed", "se_licensed_adjusted", "se_unlicensed",
                         "acceptance_ratio", "missed_ratio"):

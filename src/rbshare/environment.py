@@ -79,7 +79,6 @@ class SchedulingEnv:
     def __init__(
         self,
         params: ch.ChannelParams,
-        table: ch.CqiTable,
         catalog: list[tr.ServiceType],
         buffer_len: int,
         continuity_len: int,
@@ -93,7 +92,6 @@ class SchedulingEnv:
         if buffer_len < 1 or continuity_len < 1 or steps_per_episode < 1:
             raise ValueError("buffer_len, continuity_len, steps_per_episode must be >= 1")
         self.params = params
-        self.table = table
         self.catalog = {svc.id: svc for svc in catalog}
         self.catalog_list = list(catalog)
         self.L = buffer_len
@@ -106,7 +104,7 @@ class SchedulingEnv:
         self.traffic_rng = traffic_rng
         self.channel_rng = channel_rng
         self.rb_bits = params.rb_bandwidth * params.rb_duration  # bits per unit SE
-        self.se_max = table.se_max
+        self.se_max = ch.LTE_CQI_EFFICIENCY[-1]
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -117,7 +115,6 @@ class SchedulingEnv:
         self.rl_step = 0
         self.time_step = 1
         self.r1 = 0.0
-        self.r2 = 0.0
         self.done = False
         arrivals = tr.generate_arrivals(
             self.catalog_list, self.steps_per_episode, self.traffic_rng
@@ -168,12 +165,12 @@ class SchedulingEnv:
         """Allocate the current RB (action 0 leaves it free, j serves slot j)."""
         if self.done:
             raise RuntimeError("step() called on a finished episode")
+        if not 0 <= action <= self.L:
+            raise ValueError(f"action out of range: {action}")
         was_empty = self.buffer.count(None) == self.L
         k = self.rl_step % self.R  # 0-based current RB
         delivered, alloc_se, invalid, resolved = 0, None, False, ()
         if not was_empty and action != 0:
-            if not 0 < action <= self.L:
-                raise ValueError(f"action out of range: {action}")
             entry = self.buffer[action - 1]
             # Achievable SE of an attempted allocation: the chosen slot's
             # deliverable bits on this RB regardless of how few it still needs
@@ -205,7 +202,7 @@ class SchedulingEnv:
             # can share it.
             self.v = v_final = [0 if m else vk + 1 for m, vk in zip(self.mask, self.v)]
             c = self.C
-            self.r2 += sum(vk >= c for vk in v_final)
+            r2 = sum(vk >= c for vk in v_final)
             if was_empty:
                 reward = 0.0
             else:
@@ -214,14 +211,13 @@ class SchedulingEnv:
                 min_ttl = 1.0 if self.delta == math.inf else min(
                     (entry.ttl / entry.service.max_latency
                      for entry in self.buffer if entry is not None), default=1.0)
-                reward = aggregate_reward(self.r1, self.r2, min_ttl,
+                reward = aggregate_reward(self.r1, r2, min_ttl,
                                           self.alpha, self.beta, self.delta, self.R)
                 if invalid:
                     reward += -1.0
             resolved, accepted, dropped = self._advance_time_step(resolved)
             self.mask = [False] * self.R
             self.r1 = 0.0
-            self.r2 = 0.0
 
         self.rl_step += 1
         self.done = self.rl_step >= self.steps_per_episode * self.R
@@ -264,7 +260,7 @@ class SchedulingEnv:
                 ttl=svc.max_latency,
                 remaining_bits=svc.pdu_bits,
                 link=link,
-                deliverable=ch.link_deliverable_bits(link, self.params, self.table),
+                deliverable=ch.link_deliverable_bits(link, self.params),
                 admitted_step=n + 1,
             )
 
@@ -274,9 +270,7 @@ class SchedulingEnv:
                 ch.redraw_small_scale([entry.link for entry in live], self.params,
                                       self.channel_rng)
                 for entry in live:
-                    entry.deliverable = ch.link_deliverable_bits(
-                        entry.link, self.params, self.table
-                    )
+                    entry.deliverable = ch.link_deliverable_bits(entry.link, self.params)
 
         self.time_step += 1
         return resolved, accepted, dropped

@@ -46,7 +46,6 @@ class ExperimentConfig:
     seed: int = 0
     eval_set: bool = True        # run the second (evaluation) set
     freeze_eval: bool = False    # disable learning during the evaluation set
-    max_rl_steps: int | None = None
     checkpoint: bool = False
     learning_window: int = 1000  # RL steps, for the emitted learning curve
 
@@ -59,8 +58,6 @@ class ExperimentConfig:
                      "learning_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"run.{name}: must be >= 1")
-        if self.max_rl_steps is not None and self.max_rl_steps < 1:
-            raise ConfigError("run.max_rl_steps: must be >= 1")
         if not 1 <= self.licensed_rbs <= self.channel.num_rbs:
             raise ConfigError("run.licensed_rbs: must be in 1..R")
         if self.alpha < 0 or self.beta < 0 or self.delta <= 0:
@@ -125,7 +122,6 @@ _KEYS = {
     "run.seed": ("root", "seed", int),
     "run.eval_set": ("root", "eval_set", _parse_bool),
     "run.freeze_eval": ("root", "freeze_eval", _parse_bool),
-    "run.max_rl_steps": ("root", "max_rl_steps", int),
     "run.checkpoint": ("root", "checkpoint", _parse_bool),
     "run.learning_window": ("root", "learning_window", int),
 }
@@ -169,8 +165,6 @@ def config_echo(config: ExperimentConfig) -> str:
     sections = {"channel": config.channel, "agent": config.agent, "root": config}
     for key, (section, attr, _) in _KEYS.items():
         value = getattr(sections[section], attr)
-        if value is None:
-            continue
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
@@ -204,16 +198,13 @@ def make_policy(config: ExperimentConfig, state_dim: int,
     raise ConfigError(f"unknown policy {name!r}")
 
 
-def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: ExperimentConfig,
-             steps_done: int) -> int:
+def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: ExperimentConfig):
     # Bound once per set. `env.reset` is looked up at every episode, so a
     # patched class method (the benchmark's first-step hook) still applies.
     act, step, record = policy.act, env.step, metrics.record
     observe = policy.observe if isinstance(policy, DQNPolicy) else None
     rl_steps = config.steps_per_episode * env.R
     for _ in range(config.episodes):
-        if config.max_rl_steps is not None and steps_done >= config.max_rl_steps:
-            break
         env.reset()
         for _ in range(rl_steps):
             action = act(env)
@@ -221,8 +212,6 @@ def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: Experiment
             if observe is not None:
                 observe(env, action, out.reward, out.terminal)
             record(out)
-        steps_done += rl_steps
-    return steps_done
 
 
 def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
@@ -234,7 +223,6 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         ss.spawn(7)
     env = SchedulingEnv(
         params=config.channel,
-        table=ch.default_cqi_table(),
         catalog=tr.service_catalog(config.rate),
         buffer_len=config.buffer_len,
         continuity_len=config.continuity_len,
@@ -253,19 +241,18 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     def new_metrics(unlic_ss):
         return RunMetrics(
             rb_bits=env.rb_bits, num_rbs=env.R, continuity_len=env.C,
-            unlicensed=UnlicensedLink(config.channel, env.table,
-                                      np.random.default_rng(unlic_ss)),
+            unlicensed=UnlicensedLink(config.channel, np.random.default_rng(unlic_ss)),
         )
 
     train_metrics = new_metrics(unlic_train_ss)
-    steps = _run_set(env, policy, train_metrics, config, 0)
+    _run_set(env, policy, train_metrics, config)
 
     run_eval = config.eval_set and config.policy == "dqn"
     if run_eval:
         eval_metrics = new_metrics(unlic_eval_ss)
         policy.eps_override = config.agent.eps_inf
         policy.frozen = config.freeze_eval
-        _run_set(env, policy, eval_metrics, config, steps)
+        _run_set(env, policy, eval_metrics, config)
     else:
         eval_metrics = train_metrics
 

@@ -20,17 +20,15 @@ class UnlicensedLink:
     Shares the licensed channel parameters, CQI table and per-RB power.
     """
 
-    def __init__(self, params: ch.ChannelParams, table: ch.CqiTable,
-                 rng: np.random.Generator):
+    def __init__(self, params: ch.ChannelParams, rng: np.random.Generator):
         self.params = params
-        self.table = table
         self.rng = rng
         self._steps = 0
         self._redraw()
 
     def _redraw(self):
         self.link = ch.draw_link(self.params, self.rng)
-        self.bits_per_rb = ch.link_deliverable_bits(self.link, self.params, self.table)
+        self.bits_per_rb = ch.link_deliverable_bits(self.link, self.params)
 
     def advance_time_step(self):
         self._steps += 1

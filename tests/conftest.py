@@ -15,7 +15,7 @@ def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.in
     ss = np.random.SeedSequence(seed)
     t_ss, c_ss = ss.spawn(2)
     return SchedulingEnv(
-        params, ch.default_cqi_table(), tr.service_catalog(rate),
+        params, tr.service_catalog(rate),
         buffer_len, continuity_len, alpha, beta, delta, steps,
         np.random.default_rng(t_ss), np.random.default_rng(c_ss),
     )
@@ -24,8 +24,7 @@ def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.in
 def env_metrics(env, link_seed=0) -> RunMetrics:
     """`RunMetrics` for `env`, with an unlicensed link drawn from `link_seed`."""
     return RunMetrics(rb_bits=env.rb_bits, num_rbs=env.R, continuity_len=env.C,
-                      unlicensed=UnlicensedLink(env.params, env.table,
-                                                np.random.default_rng(link_seed)))
+                      unlicensed=UnlicensedLink(env.params, np.random.default_rng(link_seed)))
 
 
 def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):

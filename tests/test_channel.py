@@ -128,51 +128,47 @@ class TestNoiseAndSinr:
 
 
 class TestCqiMapping:
-    def setup_method(self):
-        self.table = ch.default_cqi_table()
-
     def test_capacity_between_levels(self):
         sinr = 2**2.59 - 1  # capacity exactly 2.59 b/s/Hz
-        assert ch.sinr_to_cqi(sinr, self.table) == 9
+        assert ch.sinr_to_cqi(sinr) == 9
 
     def test_zero_sinr(self):
-        assert ch.sinr_to_cqi(0.0, self.table) == 0
+        assert ch.sinr_to_cqi(0.0) == 0
 
     def test_saturated(self):
-        assert ch.sinr_to_cqi(1.6e7, self.table) == 15
+        assert ch.sinr_to_cqi(1.6e7) == 15
 
     def test_lookup_values(self):
-        assert ch.cqi_to_se(0, self.table) == 0.0
-        assert ch.cqi_to_se(15, self.table) == 5.5547
-        assert ch.cqi_to_se(9, self.table) == 2.4063
+        assert ch.cqi_to_se(0) == 0.0
+        assert ch.cqi_to_se(15) == 5.5547
+        assert ch.cqi_to_se(9) == 2.4063
         with pytest.raises(ValueError):
-            ch.cqi_to_se(16, self.table)
+            ch.cqi_to_se(16)
 
     def test_deliverable_bits(self):
         p = params()
-        assert ch.deliverable_bits(15, p, self.table) == 999
-        assert ch.deliverable_bits(0, p, self.table) == 0
-        assert ch.deliverable_bits(1, p, self.table) == 27
+        assert ch.deliverable_bits(15, p) == 999
+        assert ch.deliverable_bits(0, p) == 0
+        assert ch.deliverable_bits(1, p) == 27
 
     def test_below_capacity_invariant(self):
         rng = np.random.default_rng(5)
         for sinr in 10 ** rng.uniform(-3, 8, size=2000):
-            cqi = ch.sinr_to_cqi(sinr, self.table)
-            assert ch.cqi_to_se(cqi, self.table) <= math.log2(1 + sinr)
+            cqi = ch.sinr_to_cqi(sinr)
+            assert ch.cqi_to_se(cqi) <= math.log2(1 + sinr)
 
     def test_cqi_monotone_in_sinr(self):
         sinrs = np.sort(10 ** np.random.default_rng(6).uniform(-3, 8, size=500))
-        cqis = [ch.sinr_to_cqi(s, self.table) for s in sinrs]
+        cqis = [ch.sinr_to_cqi(s) for s in sinrs]
         assert all(a <= b for a, b in zip(cqis, cqis[1:]))
 
 
 def test_link_constant_within_coherence_period():
     p = params()
     link = ch.draw_link(p, np.random.default_rng(8))
-    table = ch.default_cqi_table()
-    first = ch.link_deliverable_bits(link, p, table)
+    first = ch.link_deliverable_bits(link, p)
     for _ in range(5):
-        assert np.array_equal(ch.link_deliverable_bits(link, p, table), first)
+        assert np.array_equal(ch.link_deliverable_bits(link, p), first)
 
 
 @pytest.mark.parametrize("num_rbs", [1, 6, 25])
@@ -181,20 +177,19 @@ def test_link_deliverable_bits_matches_scalar_rules(corr_param, num_rbs):
     """The per-link bit vector equals the scalar SINR -> CQI -> bits chain
     applied RB by RB, exactly: next to the antenna, at the cell edge, and far
     beyond it, where every CQI from 0 to 15 occurs."""
-    table = ch.default_cqi_table()
     rng = np.random.default_rng(9)
     for dist_min, dist_max in ((10.0, 10.5), (99.5, 100.0), (400.0, 900.0)):
         p = params(corr_param=corr_param, num_rbs=num_rbs,
                    dist_min=dist_min, dist_max=dist_max)
         links = [ch.draw_link(p, rng) for _ in range(700)]
-        check_against_scalar_rules(links, p, table)
+        check_against_scalar_rules(links, p)
 
     # Links whose per-RB SINR lands within a few ulps of each CQI threshold
     # 2**eff - 1, on both sides of it: random draws almost never do.
     p = params(corr_param=corr_param, num_rbs=num_rbs)
     unit = p.tx_power_total / p.num_rbs / ch.noise_power(p)  # SINR of |h| = 1
     near = []
-    for eff in table.efficiencies[1:]:
+    for eff in ch.LTE_CQI_EFFICIENCY[1:]:
         h = math.sqrt((2.0 ** eff - 1.0) / unit)
         for _ in range(24):
             h = math.nextafter(h, 0.0)
@@ -207,21 +202,21 @@ def test_link_deliverable_bits_matches_scalar_rules(corr_param, num_rbs):
     links = [ch.LinkState(large_scale=1.0, small_scale=np.array(near[i:i + num_rbs], complex))
              for i in range(0, len(near), num_rbs)]
     with np.errstate(invalid="ignore"):  # inf * 1.0 as a complex product
-        cqis = check_against_scalar_rules(links, p, table)
+        cqis = check_against_scalar_rules(links, p)
     for cqi in range(1, 16):  # every threshold is crossed within the ulps tried
         assert {cqi - 1, cqi} <= cqis
 
 
-def check_against_scalar_rules(links, p, table) -> set:
+def check_against_scalar_rules(links, p) -> set:
     """Asserts each link's bit vector is the scalar chain's; returns the CQIs
     the scalar chain met."""
     cqis = set()
     for link in links:
         h = math.sqrt(link.large_scale) * link.small_scale
-        cqi = [ch.sinr_to_cqi(ch.sinr(p, hk), table) for hk in h]
+        cqi = [ch.sinr_to_cqi(ch.sinr(p, hk)) for hk in h]
         cqis.update(cqi)
-        expected = [ch.deliverable_bits(c, p, table) for c in cqi]
-        assert list(ch.link_deliverable_bits(link, p, table)) == expected
+        expected = [ch.deliverable_bits(c, p) for c in cqi]
+        assert list(ch.link_deliverable_bits(link, p)) == expected
     return cqis
 
 

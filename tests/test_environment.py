@@ -23,7 +23,7 @@ def brute_force_continuity(mask_grid, num_rbs):
 
 def reference_encode(env) -> np.ndarray:
     """[q^1 .. q^L, v, psi] built value by value, as the state is defined."""
-    se_bits = env.rb_bits * env.table.se_max
+    se_bits = env.rb_bits * env.se_max
     out = []
     for entry in env.buffer:
         if entry is None:
@@ -77,7 +77,7 @@ class TestStateEncoding:
         assert state[0] == 1                        # service id
         assert state[1] == 75 / 150                 # ttl / latency budget
         assert state[2] == 800 / 3200               # remaining bits / PDU bits
-        assert np.all(state[3:9] == 999 / (env.rb_bits * env.table.se_max))
+        assert np.all(state[3:9] == 999 / (env.rb_bits * env.se_max))
         assert not state[9:-1].any()
 
     def test_v_and_psi_layout(self, env):
@@ -116,6 +116,15 @@ class TestActionSemantics:
         assert env.buffer[0] is None
         # Type 1, admitted this time step (latency 1), not missed, 500 bits.
         assert out.resolved == [(1, 1, False, 500)]
+
+    def test_action_range_checked_on_empty_buffer(self, env):
+        for action in (env.L + 1, -1):
+            with pytest.raises(ValueError, match="action out of range"):
+                env.step(action)
+        for action in (0, env.L):
+            out = env.step(action)
+            assert (out.reward, out.delivered_bits, out.alloc_se) == (0.0, 0, None)
+        assert env.rl_step == 2 and env.buffer.count(None) == env.L
 
     def test_invalid_action_mid_step(self, env):
         put_entry(env, 0)

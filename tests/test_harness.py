@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,27 @@ def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+# A valid value other than the default for every config key.
+NON_DEFAULT_VALUES = {
+    "channel.carrier_freq": "2e9", "channel.ref_distance": "5",
+    "channel.path_loss_exponent": "3", "channel.shadowing_sigma": "4.1",
+    "channel.corr_param": "0.5", "channel.coherence_time": "6",
+    "channel.dist_min": "20", "channel.dist_max": "250", "channel.tx_power": "0.2",
+    "channel.rb_bandwidth": "360e3", "channel.rb_duration": "5e-4",
+    "channel.num_rbs": "8", "channel.noise_temp": "290", "channel.noise_figure": "7.5",
+    "traffic.rate": "low", "env.buffer_len": "20", "env.continuity_len": "3",
+    "reward.alpha": "0.5", "reward.beta": "2", "reward.delta": "1.5",
+    "agent.gamma": "0.5", "agent.learning_rate": "0.001", "agent.minibatch": "16",
+    "agent.target_sync": "50", "agent.min_observations": "64",
+    "agent.replay_capacity": "1000", "agent.hidden": "32,16", "agent.init_std": "0.02",
+    "agent.eps0": "0.5", "agent.eps_inf": "0.05", "agent.eps_decay_steps": "500",
+    "run.policy": "mt+f", "run.licensed_rbs": "5", "run.episodes": "3",
+    "run.steps_per_episode": "40", "run.seed": "9", "run.eval_set": "false",
+    "run.freeze_eval": "true", "run.checkpoint": "true", "run.learning_window": "200",
+}
+NON_DEFAULT = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT_VALUES.items())
 
 
 class TestLoadConfig:
@@ -51,9 +73,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ":"):
             load_config(write_config(tmp_path, setting + "\n"))
 
-    # Run-length settings below 1 used to load: `max_rl_steps = 0` ended in a
-    # traceback, `learning_window = 0` raised only after the whole run.
-    @pytest.mark.parametrize("key", ["run.max_rl_steps", "run.learning_window"])
+    # `learning_window = 0` used to load and raise only after the whole run.
+    @pytest.mark.parametrize("key", ["run.learning_window"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_run_length_below_one_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ": must be >= 1$"):
@@ -62,6 +83,25 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, "agent.optimizer = adam\n"))
+
+    def test_removed_max_rl_steps_rejected(self, tmp_path):
+        path = write_config(tmp_path, "run.episodes = 2\nrun.max_rl_steps = 100\n")
+        message = f"{path}:2: unknown key 'run.max_rl_steps'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", ["", NON_DEFAULT], ids=["defaults", "non_default"])
+    def test_config_echo_round_trip(self, tmp_path, text):
+        cfg = load_config(write_config(tmp_path, text, "in.cfg"))
+        assert load_config(write_config(tmp_path, harness.config_echo(cfg), "echo.cfg")) == cfg
+
+    def test_non_default_values_cover_every_key(self, tmp_path):
+        assert list(NON_DEFAULT_VALUES) == list(harness._KEYS)
+        echo = harness.config_echo(load_config(write_config(tmp_path, NON_DEFAULT)))
+        default_echo = harness.config_echo(ExperimentConfig())
+        assert len(echo.splitlines()) == len(harness._KEYS)
+        for line, default_line in zip(echo.splitlines(), default_echo.splitlines()):
+            assert line != default_line
 
     def test_bad_rate_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="traffic.rate"):
@@ -127,12 +167,6 @@ class TestRun:
         a = harness.run(tiny_config(seed=1))
         b = harness.run(tiny_config(seed=2))
         assert a.summary["delivered_bits"] != b.summary["delivered_bits"]
-
-    def test_max_rl_steps_guard(self):
-        cfg = tiny_config()
-        cfg.max_rl_steps = 1  # second episode never starts
-        artifacts = harness.run(cfg)
-        assert artifacts.train_metrics.time_steps == 40
 
     def test_checkpoint_written(self, tmp_path):
         cfg = tiny_config(policy="dqn")
@@ -240,7 +274,7 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["run.max_rl_steps", "run.learning_window"])
+    @pytest.mark.parametrize("key", ["run.learning_window"])
     def test_run_length_zero_exit_code(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path, f"{key} = 0\nrun.episodes = 1\n"
                                      "run.steps_per_episode = 20\nrun.policy = mt\n")

@@ -12,8 +12,7 @@ from rbshare.metrics import RunMetrics, UnlicensedLink
 
 def bare_metrics(unlicensed=None):
     if unlicensed is None:
-        unlicensed = UnlicensedLink(ch.ChannelParams(), ch.default_cqi_table(),
-                                    np.random.default_rng(0))
+        unlicensed = UnlicensedLink(ch.ChannelParams(), np.random.default_rng(0))
     return RunMetrics(rb_bits=180.0, num_rbs=6, continuity_len=2, unlicensed=unlicensed)
 
 
@@ -157,8 +156,7 @@ class TestWindowedSe:
 class TestUnlicensed:
     def make_with_link(self, seed=0):
         params = ch.ChannelParams()
-        link = UnlicensedLink(params, ch.default_cqi_table(),
-                              np.random.default_rng(seed))
+        link = UnlicensedLink(params, np.random.default_rng(seed))
         return bare_metrics(unlicensed=link)
 
     def test_no_qualifying_vacancies(self):

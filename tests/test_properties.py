@@ -48,7 +48,7 @@ def test_accounting_closes(s):
                                     copy.deepcopy(env.traffic_rng))
     link_seed = s["seed"] + 1
     m = env_metrics(env, link_seed)
-    twin = UnlicensedLink(env.params, env.table, np.random.default_rng(link_seed))
+    twin = UnlicensedLink(env.params, np.random.default_rng(link_seed))
     policy = make_policy(s["policy"], s["licensed_rbs"], np.random.default_rng(s["seed"]))
     ledger = Ledger()
     env.reset()
