@@ -247,6 +247,7 @@ class AgentConfig:
             # warm-up would never end and the network never train.
             ("min_observations", self.min_observations <= self.replay_capacity,
              "must be <= agent.replay_capacity"),
+            ("init_std", self.init_std >= 0, "must be >= 0"),
             ("eps0", 0.0 <= self.eps0 <= 1.0, "must be in [0, 1]"),
             ("eps_inf", 0.0 <= self.eps_inf <= 1.0, "must be in [0, 1]"),
             ("eps_decay_steps", self.eps_decay_steps >= 1, "must be >= 1"),

@@ -47,18 +47,25 @@ class ChannelParams:
     noise_figure_db: float = 9.0
 
     def __post_init__(self):
-        if not 0.0 <= self.corr_param <= 1.0:
-            raise ValueError(f"corr_param must be in [0, 1], got {self.corr_param}")
-        if not self.dist_min < self.dist_max:
-            raise ValueError("dist_min must be < dist_max")
-        if self.coherence_time < 1:
-            raise ValueError("coherence_time must be >= 1")
-        if self.num_rbs < 1:
-            raise ValueError("num_rbs must be >= 1")
-        if self.ref_distance <= 0 or self.carrier_freq <= 0:
-            raise ValueError("ref_distance and carrier_freq must be positive")
-        if self.noise_temp <= 0 or self.rb_bandwidth <= 0:
-            raise ValueError("noise_temp and rb_bandwidth must be positive")
+        # Every rule fails on NaN, and each message starts with the config key.
+        inf = math.inf
+        rules = [(key, getattr(self, key), "(0, inf)", 0 < getattr(self, key) < inf)
+                 for key in ("carrier_freq", "ref_distance", "coherence_time", "dist_min",
+                             "rb_bandwidth", "rb_duration", "num_rbs", "noise_temp")]
+        rules += [
+            ("dist_max", self.dist_max, "(channel.dist_min, inf)",
+             self.dist_min < self.dist_max < inf),
+            ("corr_param", self.corr_param, "[0, 1]", 0 <= self.corr_param <= 1),
+            ("tx_power", self.tx_power_total, "[0, inf)", 0 <= self.tx_power_total < inf),
+        ]
+        for key, value, interval, ok in rules:
+            if not ok:
+                raise ValueError(f"channel.{key}: must be in {interval}, got {value!r}")
+
+    @property
+    def rb_bits(self) -> float:
+        """W*T: bits one RB carries per unit of spectral efficiency."""
+        return self.rb_bandwidth * self.rb_duration
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,7 @@ def cqi_to_se(cqi: int) -> float:
 
 def deliverable_bits(cqi: int, params: ChannelParams) -> int:
     """Whole bits deliverable on one RB at the given CQI."""
-    return int(math.floor(params.rb_bandwidth * params.rb_duration * cqi_to_se(cqi)))
+    return int(math.floor(params.rb_bits * cqi_to_se(cqi)))
 
 
 def link_deliverable_bits(link: LinkState, params: ChannelParams) -> tuple[int, ...]:
@@ -209,7 +216,7 @@ def link_deliverable_bits(link: LinkState, params: ChannelParams) -> tuple[int, 
     """
     p_rb = params.tx_power_total / params.num_rbs
     n0 = noise_power(params)
-    wt = params.rb_bandwidth * params.rb_duration
+    wt = params.rb_bits
     eff = LTE_CQI_EFFICIENCY
     g = math.sqrt(link.large_scale)  # a complex times a real: the same product as numpy's
     return tuple([

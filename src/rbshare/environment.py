@@ -26,6 +26,10 @@ V_SCALE_CAP = 64.0
 class BufferEntry:
     """One live request: type, TTL, remaining bits and its per-RB bit budget.
 
+    The TTL starts at the type's `max_latency` on the time step the request
+    is admitted and loses one at the end of each, so it is also the clock
+    its latency is read from.
+
     Entries compare by identity, so scans of the buffer for `None` (`count`,
     `in`) stay in C instead of calling a generated `__eq__` per slot.
     """
@@ -35,7 +39,6 @@ class BufferEntry:
     remaining_bits: int
     link: ch.LinkState
     deliverable: tuple[int, ...]    # bits per RB, refreshed each coherence period
-    admitted_step: int
     delivered_bits: int = 0
 
 
@@ -92,8 +95,7 @@ class SchedulingEnv:
         if buffer_len < 1 or continuity_len < 1 or steps_per_episode < 1:
             raise ValueError("buffer_len, continuity_len, steps_per_episode must be >= 1")
         self.params = params
-        self.catalog = {svc.id: svc for svc in catalog}
-        self.catalog_list = list(catalog)
+        self.catalog = list(catalog)
         self.L = buffer_len
         self.R = params.num_rbs
         self.C = continuity_len
@@ -103,7 +105,7 @@ class SchedulingEnv:
         self.steps_per_episode = steps_per_episode
         self.traffic_rng = traffic_rng
         self.channel_rng = channel_rng
-        self.rb_bits = params.rb_bandwidth * params.rb_duration  # bits per unit SE
+        self.rb_bits = params.rb_bits
         self.se_max = ch.LTE_CQI_EFFICIENCY[-1]
 
     # -- episode lifecycle ---------------------------------------------------
@@ -117,7 +119,7 @@ class SchedulingEnv:
         self.r1 = 0.0
         self.done = False
         arrivals = tr.generate_arrivals(
-            self.catalog_list, self.steps_per_episode, self.traffic_rng
+            self.catalog, self.steps_per_episode, self.traffic_rng
         )
         self._pending = list(reversed(arrivals))  # pop() yields earliest first
 
@@ -188,8 +190,9 @@ class SchedulingEnv:
                 self.mask[k] = True
                 self.r1 += delivered / self.rb_bits / self.se_max
                 if entry.remaining_bits == 0:
-                    latency = self.time_step - entry.admitted_step + 1
-                    resolved = [(entry.service.id, latency, False, entry.delivered_bits)]
+                    svc = entry.service
+                    resolved = [(svc.id, svc.max_latency - entry.ttl + 1, False,
+                                 entry.delivered_bits)]
                     self.buffer[action - 1] = None
 
         accepted = dropped = 0
@@ -253,7 +256,7 @@ class SchedulingEnv:
                 continue
             slot = self.buffer.index(None)
             accepted += 1
-            svc = self.catalog[req.service_id]
+            svc = req.service
             link = ch.draw_link(self.params, self.channel_rng)
             self.buffer[slot] = BufferEntry(
                 service=svc,
@@ -261,7 +264,6 @@ class SchedulingEnv:
                 remaining_bits=svc.pdu_bits,
                 link=link,
                 deliverable=ch.link_deliverable_bits(link, self.params),
-                admitted_step=n + 1,
             )
 
         if n % self.params.coherence_time == 0:

@@ -20,7 +20,7 @@ from rbshare import traffic as tr
 from rbshare.agent import AgentConfig, DQNPolicy, CallablePolicy, fixed_split, \
     ml_action, mt_action, random_policy
 from rbshare.environment import SchedulingEnv
-from rbshare.metrics import RunMetrics, UnlicensedLink
+from rbshare.metrics import RunMetrics
 
 POLICIES = ("dqn", "mt", "ml", "random", "mt+f", "ml+f")
 
@@ -60,8 +60,13 @@ class ExperimentConfig:
                 raise ConfigError(f"run.{name}: must be >= 1")
         if not 1 <= self.licensed_rbs <= self.channel.num_rbs:
             raise ConfigError("run.licensed_rbs: must be in 1..R")
-        if self.alpha < 0 or self.beta < 0 or self.delta <= 0:
-            raise ConfigError("reward.alpha/beta must be >= 0 and reward.delta > 0")
+        # Written so that NaN fails each rule.
+        for key, value in (("reward.alpha", self.alpha), ("reward.beta", self.beta),
+                           ("run.seed", self.seed)):
+            if not value >= 0:
+                raise ConfigError(f"{key}: must be >= 0, got {value!r}")
+        if not self.delta > 0:
+            raise ConfigError(f"reward.delta: must be > 0, got {self.delta!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -70,12 +75,6 @@ def _parse_bool(text: str) -> bool:
     if text.lower() in ("false", "no", "0"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_delta(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _parse_hidden(text: str) -> tuple:
@@ -103,7 +102,7 @@ _KEYS = {
     "env.continuity_len": ("root", "continuity_len", int),
     "reward.alpha": ("root", "alpha", float),
     "reward.beta": ("root", "beta", float),
-    "reward.delta": ("root", "delta", _parse_delta),
+    "reward.delta": ("root", "delta", float),
     "agent.gamma": ("agent", "gamma", float),
     "agent.learning_rate": ("agent", "learning_rate", float),
     "agent.minibatch": ("agent", "minibatch", int),
@@ -238,18 +237,14 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
                          np.random.default_rng(explore_ss),
                          np.random.default_rng(policy_ss))
 
-    def new_metrics(unlic_ss):
-        return RunMetrics(
-            rb_bits=env.rb_bits, num_rbs=env.R, continuity_len=env.C,
-            unlicensed=UnlicensedLink(config.channel, np.random.default_rng(unlic_ss)),
-        )
-
-    train_metrics = new_metrics(unlic_train_ss)
+    train_metrics = RunMetrics(config.channel, config.continuity_len,
+                               np.random.default_rng(unlic_train_ss))
     _run_set(env, policy, train_metrics, config)
 
     run_eval = config.eval_set and config.policy == "dqn"
     if run_eval:
-        eval_metrics = new_metrics(unlic_eval_ss)
+        eval_metrics = RunMetrics(config.channel, config.continuity_len,
+                                  np.random.default_rng(unlic_eval_ss))
         policy.eps_override = config.agent.eps_inf
         policy.frozen = config.freeze_eval
         _run_set(env, policy, eval_metrics, config)

@@ -14,36 +14,18 @@ from rbshare import channel as ch
 from rbshare.environment import StepOutcome
 
 
-class UnlicensedLink:
-    """Single opportunistic link, repositioned every coherence period.
-
-    Shares the licensed channel parameters, CQI table and per-RB power.
-    """
-
-    def __init__(self, params: ch.ChannelParams, rng: np.random.Generator):
-        self.params = params
-        self.rng = rng
-        self._steps = 0
-        self._redraw()
-
-    def _redraw(self):
-        self.link = ch.draw_link(self.params, self.rng)
-        self.bits_per_rb = ch.link_deliverable_bits(self.link, self.params)
-
-    def advance_time_step(self):
-        self._steps += 1
-        if self._steps % self.params.coherence_time == 0:
-            self._redraw()
-
-
 @dataclass
 class RunMetrics:
-    """Per-run accumulators, fed one environment `StepOutcome` at a time."""
+    """Per-run accumulators, fed one environment `StepOutcome` at a time.
 
-    rb_bits: float                     # W*T, bits per unit spectral efficiency
-    num_rbs: int
+    The unlicensed entity is one opportunistic link on the licensed channel's
+    parameters and per-RB power, drawn from `unlicensed_rng` when the
+    metrics are built and again after every `coherence_time` time steps.
+    """
+
+    params: ch.ChannelParams
     continuity_len: int
-    unlicensed: UnlicensedLink
+    unlicensed_rng: np.random.Generator
 
     rl_steps: int = 0
     # RL step and achievable SE (b/s/Hz) of each attempted allocation.
@@ -59,6 +41,14 @@ class RunMetrics:
     latency: dict = field(default_factory=dict)      # type id -> [(latency, missed)]
     unlicensed_bits: int = 0
     unlicensed_rb_steps: int = 0       # grid cells with continuity >= C
+    unlicensed_bits_per_rb: tuple = field(init=False)   # the link's bits on each RB
+
+    def __post_init__(self):
+        self._redraw_unlicensed()
+
+    def _redraw_unlicensed(self):
+        link = ch.draw_link(self.params, self.unlicensed_rng)
+        self.unlicensed_bits_per_rb = ch.link_deliverable_bits(link, self.params)
 
     @property
     def arrivals(self) -> int:
@@ -82,11 +72,12 @@ class RunMetrics:
         v = out.v_final
         if v is not None:
             self.time_steps += 1
-            for vk, bits in zip(v, self.unlicensed.bits_per_rb):
+            for vk, bits in zip(v, self.unlicensed_bits_per_rb):
                 if vk >= self.continuity_len:
                     self.unlicensed_rb_steps += 1
                     self.unlicensed_bits += bits
-            self.unlicensed.advance_time_step()
+            if self.time_steps % self.params.coherence_time == 0:
+                self._redraw_unlicensed()
 
     # -- derived quantities ------------------------------------------------------
 
@@ -94,12 +85,12 @@ class RunMetrics:
         if self.time_steps < 1:
             raise ValueError("no time steps recorded")
         total = self.delivered_bits - (self.missed_bits if adjusted else 0)
-        return total / (self.rb_bits * self.num_rbs * self.time_steps)
+        return total / (self.params.rb_bits * self.params.num_rbs * self.time_steps)
 
     def se_unlicensed(self) -> float:
         if self.unlicensed_rb_steps == 0:
             return 0.0
-        return self.unlicensed_bits / (self.rb_bits * self.unlicensed_rb_steps)
+        return self.unlicensed_bits / (self.params.rb_bits * self.unlicensed_rb_steps)
 
     def ratios(self) -> tuple[float, float]:
         if self.arrivals == 0:
@@ -134,8 +125,8 @@ class RunMetrics:
         cum = np.concatenate([[0.0], np.cumsum(np.frombuffer(self.alloc_se))])
         out = []
         for n in range(100, self.time_steps + 1, 100):
-            hi = np.searchsorted(idx, n * self.num_rbs, side="left")
-            lo = np.searchsorted(idx, n * self.num_rbs - window, side="left")
+            hi = np.searchsorted(idx, n * self.params.num_rbs, side="left")
+            lo = np.searchsorted(idx, n * self.params.num_rbs - window, side="left")
             out.append((n, float((cum[hi] - cum[lo]) / (hi - lo)) if hi > lo else 0.0))
         return out
 

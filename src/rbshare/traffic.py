@@ -37,8 +37,7 @@ class ServiceType:
 @dataclass(frozen=True)
 class Request:
     arrival_step: int    # first time step at which the request can be admitted
-    service_id: int
-    exact_time: float    # continuous arrival time in ms, for tie-breaking
+    service: ServiceType
 
 
 def service_catalog(rate_profile: str) -> list[ServiceType]:
@@ -62,13 +61,14 @@ def generate_arrivals(
     """Merge the per-type renewal streams over `horizon` time steps.
 
     Continuous arrival times are ceiled to the next step boundary; ties within
-    a step are ordered by type id, then by exact arrival time.
+    a step are ordered by type id, then by exact arrival time: each type's
+    requests are appended in time order and the sort is stable.
     """
     requests: list[Request] = []
     for svc in catalog:
         t = sample_interarrival(svc.mean_interarrival, rng)
         while t < horizon:
-            requests.append(Request(math.ceil(t), svc.id, t))
+            requests.append(Request(math.ceil(t), svc))
             t += sample_interarrival(svc.mean_interarrival, rng)
-    requests.sort(key=lambda r: (r.arrival_step, r.service_id, r.exact_time))
+    requests.sort(key=lambda r: (r.arrival_step, r.service.id))
     return requests

@@ -6,7 +6,7 @@ import pytest
 from rbshare import channel as ch
 from rbshare import traffic as tr
 from rbshare.environment import BufferEntry, SchedulingEnv
-from rbshare.metrics import RunMetrics, UnlicensedLink
+from rbshare.metrics import RunMetrics
 
 
 def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.inf,
@@ -23,13 +23,12 @@ def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.in
 
 def env_metrics(env, link_seed=0) -> RunMetrics:
     """`RunMetrics` for `env`, with an unlicensed link drawn from `link_seed`."""
-    return RunMetrics(rb_bits=env.rb_bits, num_rbs=env.R, continuity_len=env.C,
-                      unlicensed=UnlicensedLink(env.params, np.random.default_rng(link_seed)))
+    return RunMetrics(env.params, env.C, np.random.default_rng(link_seed))
 
 
 def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):
     """Inject a live request into a buffer slot with a fixed per-RB bit budget."""
-    svc = next(s for s in env.catalog_list if s.id == type_id)
+    svc = next(s for s in env.catalog if s.id == type_id)
     link = ch.draw_link(env.params, env.channel_rng)
     entry = BufferEntry(
         service=svc,
@@ -37,7 +36,6 @@ def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):
         remaining_bits=svc.pdu_bits if remaining is None else remaining,
         link=link,
         deliverable=(bits_per_rb,) * env.R,
-        admitted_step=env.time_step,
     )
     env.buffer[slot] = entry
     return entry
@@ -58,14 +56,22 @@ class Ledger:
     the one before: a request that left with nothing more to send was
     satisfied, one that left still wanting bits missed its deadline, and a
     request that appeared was admitted.
+
+    It also keeps the time step at which each request appeared, and for each
+    one that left a `(service id, age, missed, delivered bits)` record in
+    `resolved`, where the age is the time step it left at minus the one it
+    appeared at, plus one.
     """
 
     def __init__(self):
         self.delivered = self.admitted = 0
         self.satisfied = self.missed = self.missed_bits = 0
+        self.appeared: dict = {}    # entry -> first time step it spends in the buffer
+        self.resolved: list[tuple] = []
 
     def step(self, env, action: int):
         before = [e for e in env.buffer if e is not None]
+        now = env.time_step
         if action:
             self.delivered += env.deliverable_now(action - 1)
         out = env.step(action)
@@ -78,7 +84,14 @@ class Ledger:
                 self.missed_bits += entry.delivered_bits
             else:
                 self.satisfied += 1
-        self.admitted += sum(not any(entry is e for e in before) for entry in after)
+            if entry in self.appeared:
+                age = now - self.appeared.pop(entry) + 1
+                self.resolved.append((entry.service.id, age, bool(entry.remaining_bits),
+                                      entry.delivered_bits))
+        for entry in after:
+            if not any(entry is e for e in before):
+                self.admitted += 1
+                self.appeared[entry] = env.time_step
         return out
 
 

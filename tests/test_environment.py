@@ -270,7 +270,7 @@ class TestTimeAdvance:
     def test_buffer_overflow_drops(self):
         e = make_env(buffer_len=2, rate="high", steps=400, seed=3)
         # The episode's traffic, drawn again from a copy of its stream.
-        arrivals = tr.generate_arrivals(e.catalog_list, e.steps_per_episode,
+        arrivals = tr.generate_arrivals(e.catalog, e.steps_per_episode,
                                         copy.deepcopy(e.traffic_rng))
         e.reset()
         m = env_metrics(e)

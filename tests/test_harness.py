@@ -50,8 +50,9 @@ class TestLoadConfig:
         assert cfg.episodes == 133 and cfg.steps_per_episode == 500
 
     def test_delta_inf_sentinel(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "reward.delta = inf\n"))
-        assert math.isinf(cfg.delta)
+        for text in ("inf", "Infinity", "INF", "+inf"):
+            cfg = load_config(write_config(tmp_path, f"reward.delta = {text}\n"))
+            assert cfg.delta == math.inf, text
 
     # Out-of-range agent settings fail at load time and name their key.
     # Several used to load and then stop a run midway with a traceback.
@@ -67,6 +68,12 @@ class TestLoadConfig:
         # A warm-up longer than the replay memory can hold never ends.
         pytest.param("agent.min_observations = 40\nagent.replay_capacity = 10",
                      id="min_observations"),
+        # Values that used to load and then stop a run midway: a math domain
+        # error, a division by zero, numpy's argument checks, or (with the
+        # default DQN policy) a NaN reward reported as diverged training.
+        "channel.dist_min = -50", "channel.tx_power = -1", "channel.carrier_freq = inf",
+        "channel.rb_duration = 0", "run.seed = -1", "agent.init_std = -1",
+        "reward.delta = nan",
     ])
     def test_bad_agent_setting_names_key(self, tmp_path, setting):
         key = setting.split(" = ")[0]
@@ -283,6 +290,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {key}: must be >= 1\n"
         assert not out.exists()  # rejected before anything is written
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "run.policy = mt\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: run.seed: must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_training_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "agent.learning_rate = 1e6\n"

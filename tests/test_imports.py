@@ -1,11 +1,15 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and every
+top-level function and class of the package is named somewhere else."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rbshare"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rbshare"
+# Where a top-level name of the package may be used.
+USERS = ("src", "tests", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +44,44 @@ def test_detector_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(source: str) -> list[str]:
+    """The functions and classes a module defines at its top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, imports or spells as a (dotted) string:
+    `setattr(channel, "draw_link", ...)` and `__all__` name a function too."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def test_dead_name_detector():
+    defs = "class Used:\n    pass\nclass Dead:\n    pass\ndef patched():\n    pass\n"
+    users = "x = Used()\nsetattr(m, 'patched', None)\n# Dead is only in a comment\n"
+    assert top_level_names(defs) == ["Used", "Dead", "patched"]
+    assert set(top_level_names(defs)) - referenced_names(users) == {"Dead"}
+
+
+def test_no_dead_top_level_names():
+    used: set[str] = set()
+    for folder in USERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= referenced_names(path.read_text())
+    dead = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in top_level_names(path.read_text()) if name not in used]
+    assert dead == []

@@ -7,13 +7,12 @@ from conftest import GridRecorder, Ledger, make_env
 from rbshare import channel as ch
 from rbshare.agent import CallablePolicy, fixed_split, mt_action
 from rbshare.environment import StepOutcome
-from rbshare.metrics import RunMetrics, UnlicensedLink
+from rbshare.metrics import RunMetrics
 
 
-def bare_metrics(unlicensed=None):
-    if unlicensed is None:
-        unlicensed = UnlicensedLink(ch.ChannelParams(), np.random.default_rng(0))
-    return RunMetrics(rb_bits=180.0, num_rbs=6, continuity_len=2, unlicensed=unlicensed)
+def bare_metrics():
+    """Default channel (W*T = 180 bits, R = 6), C = 2."""
+    return RunMetrics(ch.ChannelParams(), 2, np.random.default_rng(0))
 
 
 def blank_outcome(**fields):
@@ -154,20 +153,15 @@ class TestWindowedSe:
 
 
 class TestUnlicensed:
-    def make_with_link(self, seed=0):
-        params = ch.ChannelParams()
-        link = UnlicensedLink(params, np.random.default_rng(seed))
-        return bare_metrics(unlicensed=link)
-
     def test_no_qualifying_vacancies(self):
-        m = self.make_with_link()
+        m = bare_metrics()
         m.record(blank_outcome(v_final=np.zeros(6)))
         assert m.se_unlicensed() == 0.0
         assert m.unlicensed_rb_steps == 0
 
     def test_saturated_cqi15(self):
-        m = self.make_with_link()
-        m.unlicensed.bits_per_rb = (999,) * 6
+        m = bare_metrics()
+        m.unlicensed_bits_per_rb = (999,) * 6
         m.record(blank_outcome(v_final=np.full(6, 3)))
         assert m.se_unlicensed() == pytest.approx(999 / 180.0)
         assert m.unlicensed_rb_steps == 6
@@ -175,7 +169,7 @@ class TestUnlicensed:
     def test_fixed_split_warm_up(self):
         env = make_env(steps=30, seed=6)
         env.reset()
-        m = self.make_with_link()
+        m = bare_metrics()
         policy = fixed_split(CallablePolicy(mt_action), licensed_rbs=4)
         while not env.done:
             m.record(env.step(policy.act(env)))
@@ -186,7 +180,7 @@ class TestUnlicensed:
         env = make_env(steps=60, seed=7)
         rec = GridRecorder(env)
         env.reset()
-        m = self.make_with_link()
+        m = bare_metrics()
         rng = np.random.default_rng(1)
         while not env.done:
             m.record(env.step(int(rng.integers(0, env.L + 1))))

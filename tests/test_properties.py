@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GridRecorder, Ledger, env_metrics, make_env
+from rbshare import channel as ch
 from rbshare import traffic as tr
 from rbshare.agent import CallablePolicy, fixed_split, ml_action, mt_action, random_policy
-from rbshare.metrics import UnlicensedLink
 
 
 @st.composite
@@ -25,6 +25,8 @@ def scenarios(draw):
         # Short episodes, and ones long enough for deadlines (150 to 300
         # time steps) to pass.
         "steps": draw(st.one_of(st.integers(1, 10), st.integers(160, 400))),
+        # Down to 1, so short episodes redraw the unlicensed link too.
+        "coherence_time": draw(st.integers(1, 13)),
         "seed": draw(st.integers(0, 2 ** 32 - 1)),
         "policy": draw(st.sampled_from(["mt", "ml", "random", "mt+f", "ml+f"])),
         "licensed_rbs": draw(st.integers(1, num_rbs)),
@@ -42,18 +44,21 @@ def make_policy(name: str, licensed_rbs: int, rng):
 def test_accounting_closes(s):
     env = make_env(buffer_len=s["buffer_len"], continuity_len=s["continuity_len"],
                    steps=s["steps"], rate=s["rate"], seed=s["seed"],
-                   num_rbs=s["num_rbs"])
+                   num_rbs=s["num_rbs"], coherence_time=s["coherence_time"])
     rec = GridRecorder(env)
-    arrivals = tr.generate_arrivals(env.catalog_list, env.steps_per_episode,
+    arrivals = tr.generate_arrivals(env.catalog, env.steps_per_episode,
                                     copy.deepcopy(env.traffic_rng))
     link_seed = s["seed"] + 1
     m = env_metrics(env, link_seed)
-    twin = UnlicensedLink(env.params, np.random.default_rng(link_seed))
+    twin = np.random.default_rng(link_seed)
     policy = make_policy(s["policy"], s["licensed_rbs"], np.random.default_rng(s["seed"]))
     ledger = Ledger()
+    resolved = []
     env.reset()
     while not env.done:
-        m.record(ledger.step(env, policy.act(env)))
+        out = ledger.step(env, policy.act(env))
+        resolved += out.resolved
+        m.record(out)
     live = sum(entry is not None for entry in env.buffer)
 
     # Every bit the RBs could carry to a chosen request is counted once.
@@ -67,16 +72,26 @@ def test_accounting_closes(s):
     assert m.accepted == m.satisfied + m.missed + live
     assert m.time_steps == s["steps"] and m.rl_steps == s["steps"] * s["num_rbs"]
 
+    # A satisfied request's latency is its age when it left the buffer; a
+    # missed one's is its latency budget, which it has reached exactly.
+    budget = {svc.id: svc.max_latency for svc in env.catalog}
+    assert all(age == budget[sid] for sid, age, missed, _ in ledger.resolved if missed)
+    assert sorted(resolved) == sorted(
+        (sid, budget[sid] if missed else age, missed, bits)
+        for sid, age, missed, bits in ledger.resolved)
+
     # The unlicensed link's RBs and bits, recounted from the allocation grid
-    # with a twin of the link.
+    # with the link redrawn from a twin of its generator every coherence period.
     v = np.zeros(env.R, dtype=np.int64)
     rb_steps = bits = 0
-    for mask in rec.mask_grid:
+    for n, mask in enumerate(rec.mask_grid):
+        if n % s["coherence_time"] == 0:
+            link_bits = np.asarray(ch.link_deliverable_bits(ch.draw_link(env.params, twin),
+                                                            env.params))
         v = np.where(mask, 0, v + 1)
         free = v >= env.C
         rb_steps += int(free.sum())
-        bits += int(np.asarray(twin.bits_per_rb)[free].sum())
-        twin.advance_time_step()
+        bits += int(link_bits[free].sum())
     assert len(rec.mask_grid) == s["steps"]
     assert m.unlicensed_rb_steps == rb_steps
     assert m.unlicensed_bits == bits
