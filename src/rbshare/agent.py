@@ -235,27 +235,6 @@ class AgentConfig:
     eps_inf: float = 0.01
     eps_decay_steps: int = 80_000
 
-    def __post_init__(self):
-        checks = (
-            ("gamma", 0.0 < self.gamma <= 1.0, "must be in (0, 1]"),
-            ("learning_rate", self.learning_rate > 0, "must be positive"),
-            ("replay_capacity", self.replay_capacity >= 1, "must be >= 1"),
-            ("target_sync", self.target_sync >= 1, "must be >= 1"),
-            ("minibatch", 1 <= self.minibatch <= self.min_observations,
-             "must be in 1..agent.min_observations"),
-            # Replay memory never holds more than its capacity, so a larger
-            # warm-up would never end and the network never train.
-            ("min_observations", self.min_observations <= self.replay_capacity,
-             "must be <= agent.replay_capacity"),
-            ("init_std", self.init_std >= 0, "must be >= 0"),
-            ("eps0", 0.0 <= self.eps0 <= 1.0, "must be in [0, 1]"),
-            ("eps_inf", 0.0 <= self.eps_inf <= 1.0, "must be in [0, 1]"),
-            ("eps_decay_steps", self.eps_decay_steps >= 1, "must be >= 1"),
-        )
-        for name, ok, rule in checks:
-            if not ok:
-                raise ValueError(f"agent.{name}: {rule}, got {getattr(self, name)!r}")
-
 
 class DQNPolicy:
     """ε-greedy DQN with replay memory and a periodically synced target net.

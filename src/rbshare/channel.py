@@ -46,22 +46,6 @@ class ChannelParams:
     noise_temp: float = 300.0          # K
     noise_figure_db: float = 9.0
 
-    def __post_init__(self):
-        # Every rule fails on NaN, and each message starts with the config key.
-        inf = math.inf
-        rules = [(key, getattr(self, key), "(0, inf)", 0 < getattr(self, key) < inf)
-                 for key in ("carrier_freq", "ref_distance", "coherence_time", "dist_min",
-                             "rb_bandwidth", "rb_duration", "num_rbs", "noise_temp")]
-        rules += [
-            ("dist_max", self.dist_max, "(channel.dist_min, inf)",
-             self.dist_min < self.dist_max < inf),
-            ("corr_param", self.corr_param, "[0, 1]", 0 <= self.corr_param <= 1),
-            ("tx_power", self.tx_power_total, "[0, inf)", 0 <= self.tx_power_total < inf),
-        ]
-        for key, value, interval, ok in rules:
-            if not ok:
-                raise ValueError(f"channel.{key}: must be in {interval}, got {value!r}")
-
     @property
     def rb_bits(self) -> float:
         """W*T: bits one RB carries per unit of spectral efficiency."""
@@ -73,13 +57,6 @@ class CqiTable:
     """CQI -> achievable spectral efficiency lookup (16 entries, 4-bit CQI)."""
 
     efficiencies: tuple = LTE_CQI_EFFICIENCY
-
-    def __post_init__(self):
-        eff = self.efficiencies
-        if len(eff) != 16 or eff[0] != 0.0:
-            raise ValueError("table needs 16 entries with entry 0 == 0")
-        if any(eff[i] >= eff[i + 1] for i in range(1, 15)):
-            raise ValueError("efficiencies must be strictly increasing for CQI 1..15")
 
     @property
     def se_max(self) -> float:

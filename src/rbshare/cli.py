@@ -9,6 +9,11 @@ from rbshare import harness
 from rbshare.agent import TrainingDiverged
 from rbshare.harness import ConfigError
 
+# `rbshare run` flag -> the config key it sets (parsed and checked as in a file)
+_FLAGS = {"--seed": "run.seed", "--policy": "run.policy", "--episodes": "run.episodes",
+          "--rate": "traffic.rate", "--continuity": "env.continuity_len",
+          "--buffer": "env.buffer_len"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rbshare")
@@ -16,13 +21,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one experiment")
     run_p.add_argument("config", help="config file (flat key = value)")
-    run_p.add_argument("--seed", type=int, help="override run.seed")
     run_p.add_argument("--out", help="artifact output directory")
-    run_p.add_argument("--policy", choices=harness.POLICIES)
-    run_p.add_argument("--episodes", type=int)
-    run_p.add_argument("--rate", choices=("low", "high"))
-    run_p.add_argument("--continuity", type=int, metavar="C")
-    run_p.add_argument("--buffer", type=int, metavar="L")
+    for flag, key in _FLAGS.items():
+        run_p.add_argument(flag, dest=key, metavar="VALUE", help=f"set {key}")
 
     cmp_p = sub.add_parser("compare", help="tabulate metrics across run artifacts")
     cmp_p.add_argument("dirs", nargs="+", help="artifact directories")
@@ -33,19 +34,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = harness.load_config(args.config)
-            if args.seed is not None:
-                config.seed = args.seed
-            if args.policy is not None:
-                config.policy = args.policy
-            if args.episodes is not None:
-                config.episodes = args.episodes
-            if args.rate is not None:
-                config.rate = args.rate
-            if args.continuity is not None:
-                config.continuity_len = args.continuity
-            if args.buffer is not None:
-                config.buffer_len = args.buffer
+            overrides = {key: getattr(args, key) for key in _FLAGS.values()
+                         if getattr(args, key) is not None}
+            config = harness.load_config(args.config, overrides)
             artifacts = harness.run(config, out_dir=args.out)
             for key in ("se_licensed", "se_licensed_adjusted", "se_unlicensed",
                         "acceptance_ratio", "missed_ratio"):

@@ -92,8 +92,6 @@ class SchedulingEnv:
         traffic_rng: np.random.Generator,
         channel_rng: np.random.Generator,
     ):
-        if buffer_len < 1 or continuity_len < 1 or steps_per_episode < 1:
-            raise ValueError("buffer_len, continuity_len, steps_per_episode must be >= 1")
         self.params = params
         self.catalog = list(catalog)
         self.L = buffer_len

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,23 +51,40 @@ class ExperimentConfig:
     learning_window: int = 1000  # RL steps, for the emitted learning curve
 
     def validate(self):
-        if self.policy not in POLICIES:
-            raise ConfigError(f"run.policy: unknown policy {self.policy!r}")
-        if self.rate not in tr.RATE_PROFILES:
-            raise ConfigError(f"traffic.rate: must be low|high, got {self.rate!r}")
-        for name in ("buffer_len", "continuity_len", "episodes", "steps_per_episode",
-                     "learning_window"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"run.{name}: must be >= 1")
-        if not 1 <= self.licensed_rbs <= self.channel.num_rbs:
-            raise ConfigError("run.licensed_rbs: must be in 1..R")
-        # Written so that NaN fails each rule.
-        for key, value in (("reward.alpha", self.alpha), ("reward.beta", self.beta),
-                           ("run.seed", self.seed)):
-            if not value >= 0:
-                raise ConfigError(f"{key}: must be >= 0, got {value!r}")
-        if not self.delta > 0:
-            raise ConfigError(f"reward.delta: must be > 0, got {self.delta!r}")
+        """Check every key against its rule in `_KEYS`.
+
+        The bounds that are numbers are checked for every key before the
+        bounds that name another key, so a bad value is reported under its
+        own key rather than under a key whose rule it is a bound of.
+        """
+        values = _values(self)
+        for named in (False, True):
+            for key, (_, _, _, rule) in _KEYS.items():
+                if _breaks(rule, values[key], values, named):
+                    allowed = rule if isinstance(rule, str) else \
+                        "{" + ", ".join(map(str, rule)) + "}"
+                    raise ConfigError(f"{key}: must be in {allowed}, got {values[key]!r}")
+
+
+_LOW = {"[": operator.ge, "(": operator.gt}
+_HIGH = {"]": operator.le, ")": operator.lt}
+
+
+def _breaks(rule, value, values: dict, named: bool) -> bool:
+    """Whether `value` (each element, for a tuple) breaks `rule`, checking
+    only the bounds that name a key (`named`) or only the others.
+
+    A rule is a tuple of allowed values or an interval such as `"[1, inf)"`
+    or `"(channel.dist_min, inf)"`. The comparisons are written so that NaN
+    breaks every interval.
+    """
+    if not isinstance(rule, str):
+        return not named and value not in rule
+    low, high = rule[1:-1].split(", ")
+    checks = [(_LOW[rule[0]], low), (_HIGH[rule[-1]], high)]
+    return any(not holds(v, values[bound] if named else float(bound))
+               for v in (value if isinstance(value, tuple) else (value,))
+               for holds, bound in checks if (bound in values) == named)
 
 
 def _parse_bool(text: str) -> bool:
@@ -81,58 +99,70 @@ def _parse_hidden(text: str) -> tuple:
     return tuple(int(part) for part in text.replace(",", " ").split())
 
 
-# dotted config key -> (target section, attribute, parser)
+_BOOL = (True, False)
+
+# The one table of config keys: dotted key -> (target section, attribute,
+# parser, rule). `ExperimentConfig.validate` checks every rule.
 _KEYS = {
-    "channel.carrier_freq": ("channel", "carrier_freq", float),
-    "channel.ref_distance": ("channel", "ref_distance", float),
-    "channel.path_loss_exponent": ("channel", "path_loss_exponent", float),
-    "channel.shadowing_sigma": ("channel", "shadowing_sigma", float),
-    "channel.corr_param": ("channel", "corr_param", float),
-    "channel.coherence_time": ("channel", "coherence_time", int),
-    "channel.dist_min": ("channel", "dist_min", float),
-    "channel.dist_max": ("channel", "dist_max", float),
-    "channel.tx_power": ("channel", "tx_power_total", float),
-    "channel.rb_bandwidth": ("channel", "rb_bandwidth", float),
-    "channel.rb_duration": ("channel", "rb_duration", float),
-    "channel.num_rbs": ("channel", "num_rbs", int),
-    "channel.noise_temp": ("channel", "noise_temp", float),
-    "channel.noise_figure": ("channel", "noise_figure_db", float),
-    "traffic.rate": ("root", "rate", str),
-    "env.buffer_len": ("root", "buffer_len", int),
-    "env.continuity_len": ("root", "continuity_len", int),
-    "reward.alpha": ("root", "alpha", float),
-    "reward.beta": ("root", "beta", float),
-    "reward.delta": ("root", "delta", float),
-    "agent.gamma": ("agent", "gamma", float),
-    "agent.learning_rate": ("agent", "learning_rate", float),
-    "agent.minibatch": ("agent", "minibatch", int),
-    "agent.target_sync": ("agent", "target_sync", int),
-    "agent.min_observations": ("agent", "min_observations", int),
-    "agent.replay_capacity": ("agent", "replay_capacity", int),
-    "agent.hidden": ("agent", "hidden", _parse_hidden),
-    "agent.init_std": ("agent", "init_std", float),
-    "agent.eps0": ("agent", "eps0", float),
-    "agent.eps_inf": ("agent", "eps_inf", float),
-    "agent.eps_decay_steps": ("agent", "eps_decay_steps", int),
-    "run.policy": ("root", "policy", str),
-    "run.licensed_rbs": ("root", "licensed_rbs", int),
-    "run.episodes": ("root", "episodes", int),
-    "run.steps_per_episode": ("root", "steps_per_episode", int),
-    "run.seed": ("root", "seed", int),
-    "run.eval_set": ("root", "eval_set", _parse_bool),
-    "run.freeze_eval": ("root", "freeze_eval", _parse_bool),
-    "run.checkpoint": ("root", "checkpoint", _parse_bool),
-    "run.learning_window": ("root", "learning_window", int),
+    "channel.carrier_freq": ("channel", "carrier_freq", float, "(0, inf)"),
+    "channel.ref_distance": ("channel", "ref_distance", float, "(0, inf)"),
+    "channel.path_loss_exponent": ("channel", "path_loss_exponent", float, "[0, inf)"),
+    "channel.shadowing_sigma": ("channel", "shadowing_sigma", float, "[0, inf)"),
+    "channel.corr_param": ("channel", "corr_param", float, "[0, 1]"),
+    "channel.coherence_time": ("channel", "coherence_time", int, "[1, inf)"),
+    "channel.dist_min": ("channel", "dist_min", float, "(0, inf)"),
+    "channel.dist_max": ("channel", "dist_max", float, "(channel.dist_min, inf)"),
+    "channel.tx_power": ("channel", "tx_power_total", float, "[0, inf)"),
+    "channel.rb_bandwidth": ("channel", "rb_bandwidth", float, "(0, inf)"),
+    "channel.rb_duration": ("channel", "rb_duration", float, "(0, inf)"),
+    "channel.num_rbs": ("channel", "num_rbs", int, "[1, inf)"),
+    "channel.noise_temp": ("channel", "noise_temp", float, "(0, inf)"),
+    "channel.noise_figure": ("channel", "noise_figure_db", float, "[0, inf)"),
+    "traffic.rate": ("root", "rate", str, tr.RATE_PROFILES),
+    "env.buffer_len": ("root", "buffer_len", int, "[1, inf)"),
+    "env.continuity_len": ("root", "continuity_len", int, "[1, inf)"),
+    "reward.alpha": ("root", "alpha", float, "[0, inf)"),
+    "reward.beta": ("root", "beta", float, "[0, inf)"),
+    "reward.delta": ("root", "delta", float, "(0, inf]"),
+    "agent.gamma": ("agent", "gamma", float, "(0, 1]"),
+    "agent.learning_rate": ("agent", "learning_rate", float, "(0, inf)"),
+    "agent.minibatch": ("agent", "minibatch", int, "[1, agent.min_observations]"),
+    "agent.target_sync": ("agent", "target_sync", int, "[1, inf)"),
+    # Replay memory never holds more than its capacity, so a longer warm-up
+    # would never end and the network never train.
+    "agent.min_observations": ("agent", "min_observations", int,
+                               "[1, agent.replay_capacity]"),
+    "agent.replay_capacity": ("agent", "replay_capacity", int, "[1, inf)"),
+    "agent.hidden": ("agent", "hidden", _parse_hidden, "[1, inf)"),
+    "agent.init_std": ("agent", "init_std", float, "[0, inf)"),
+    "agent.eps0": ("agent", "eps0", float, "[0, 1]"),
+    "agent.eps_inf": ("agent", "eps_inf", float, "[0, 1]"),
+    "agent.eps_decay_steps": ("agent", "eps_decay_steps", int, "[1, inf)"),
+    "run.policy": ("root", "policy", str, POLICIES),
+    "run.licensed_rbs": ("root", "licensed_rbs", int, "[1, channel.num_rbs]"),
+    "run.episodes": ("root", "episodes", int, "[1, inf)"),
+    "run.steps_per_episode": ("root", "steps_per_episode", int, "[1, inf)"),
+    "run.seed": ("root", "seed", int, "[0, inf)"),
+    "run.eval_set": ("root", "eval_set", _parse_bool, _BOOL),
+    "run.freeze_eval": ("root", "freeze_eval", _parse_bool, _BOOL),
+    "run.checkpoint": ("root", "checkpoint", _parse_bool, _BOOL),
+    "run.learning_window": ("root", "learning_window", int, "[1, inf)"),
 }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a flat key = value config file; unset keys keep their defaults."""
-    channel_kwargs: dict = {}
-    agent_kwargs: dict = {}
-    root_kwargs: dict = {}
-    targets = {"channel": channel_kwargs, "agent": agent_kwargs, "root": root_kwargs}
+def _values(config: ExperimentConfig) -> dict:
+    """Every key's current value, in `_KEYS` order."""
+    sections = {"channel": config.channel, "agent": config.agent, "root": config}
+    return {key: getattr(sections[section], attr)
+            for key, (section, attr, _, _) in _KEYS.items()}
 
+
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse a flat key = value config file; unset keys keep their defaults.
+
+    `overrides` maps keys to value text that replaces the file's.
+    """
+    settings = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,30 +170,29 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        section, attr, parser = _KEYS[key]
-        try:
-            targets[section][attr] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
+        settings.append((f"{path}:{lineno}: ", key, value))
+    settings += [("", key, value) for key, value in (overrides or {}).items()]
 
-    try:
-        channel = ch.ChannelParams(**channel_kwargs)
-        agent = AgentConfig(**agent_kwargs)
-        config = ExperimentConfig(channel=channel, agent=agent, **root_kwargs)
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs: dict = {"channel": {}, "agent": {}, "root": {}}
+    for where, key, value in settings:
+        if key not in _KEYS:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        section, attr, parser, _ = _KEYS[key]
+        try:
+            kwargs[section][attr] = parser(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{key}: {exc}") from exc
+
+    config = ExperimentConfig(channel=ch.ChannelParams(**kwargs["channel"]),
+                              agent=AgentConfig(**kwargs["agent"]), **kwargs["root"])
+    config.validate()
     return config
 
 
 def config_echo(config: ExperimentConfig) -> str:
     """Canonical dump: every known key in fixed order."""
     lines = []
-    sections = {"channel": config.channel, "agent": config.agent, "root": config}
-    for key, (section, attr, _) in _KEYS.items():
-        value = getattr(sections[section], attr)
+    for key, value in _values(config).items():
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")

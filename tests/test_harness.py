@@ -74,6 +74,11 @@ class TestLoadConfig:
         "channel.dist_min = -50", "channel.tx_power = -1", "channel.carrier_freq = inf",
         "channel.rb_duration = 0", "run.seed = -1", "agent.init_std = -1",
         "reward.delta = nan",
+        # Values that used to load, or failed under a key that does not exist.
+        "env.buffer_len = 0", "env.continuity_len = 0",
+        "channel.path_loss_exponent = nan", "channel.shadowing_sigma = nan",
+        "channel.noise_figure = nan", "channel.shadowing_sigma = -5",
+        "reward.alpha = inf", "agent.learning_rate = inf", "agent.hidden = 0,8",
     ])
     def test_bad_agent_setting_names_key(self, tmp_path, setting):
         key = setting.split(" = ")[0]
@@ -84,7 +89,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize("key", ["run.learning_window"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_run_length_below_one_rejected(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ": must be >= 1$"):
+        message = f"{key}: must be in [1, inf), got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(write_config(tmp_path, f"{key} = {value}\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -180,6 +186,17 @@ class TestRun:
         cfg.checkpoint = True
         harness.run(cfg, out_dir=tmp_path)
         assert (tmp_path / "qnetwork.npz").exists()
+
+    # A config changed after construction is checked like a file, before the
+    # run writes anything: `minibatch = 0` used to train on empty minibatches,
+    # and `min_observations = 10` to stop midway when sampling a minibatch.
+    @pytest.mark.parametrize("attr, value", [("minibatch", 0), ("min_observations", 10)])
+    def test_changed_agent_setting_rejected(self, tmp_path, attr, value):
+        cfg = tiny_config(policy="dqn")
+        setattr(cfg.agent, attr, value)
+        with pytest.raises(ConfigError, match=r"^agent\.minibatch: "):
+            harness.run(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_policy_reported(self):
         cfg = tiny_config()
@@ -288,15 +305,45 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {key}: must be >= 1\n"
+        assert err == f"error: {key}: must be in [1, inf), got 0\n"
         assert not out.exists()  # rejected before anything is written
 
     def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "run.policy = mt\n")
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: run.seed: must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: run.seed: must be in [0, inf), got -1\n"
         assert not out.exists()
+
+    # Each flag is a shorthand for one key, parsed and checked like the file.
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--seed", "run.seed", "3"), ("--policy", "run.policy", "ml"),
+        ("--episodes", "run.episodes", "2"), ("--rate", "traffic.rate", "low"),
+        ("--continuity", "env.continuity_len", "3"), ("--buffer", "env.buffer_len", "5"),
+    ])
+    def test_flag_sets_its_key(self, tmp_path, flag, key, value):
+        cfg = write_config(tmp_path, "run.policy = mt\nrun.episodes = 1\n"
+                                     "run.steps_per_episode = 10\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), flag, value, "--out", str(out)]) == 0
+        assert f"{key} = {value}" in (out / "config_echo.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--policy", "ppo", "run.policy"), ("--rate", "medium", "traffic.rate"),
+        ("--continuity", "0", "env.continuity_len"),
+    ])
+    def test_bad_flag_value_names_key(self, tmp_path, capsys, flag, value, key):
+        cfg = write_config(tmp_path, "run.policy = mt\n")
+        assert cli.main(["run", str(cfg), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: must be in ")
+
+    def test_help_names_each_flags_key(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--help"])
+        assert exit_info.value.code == 0
+        help_text = capsys.readouterr().out
+        for flag, key in cli._FLAGS.items():
+            assert re.search(rf"{flag} VALUE +set {re.escape(key)}\n", help_text), flag
 
     def test_training_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "agent.learning_rate = 1e6\n"
