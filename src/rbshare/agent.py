@@ -157,29 +157,36 @@ class Batch(NamedTuple):
 class ReplayMemory:
     """Fixed-capacity ring buffer with uniform minibatch sampling.
 
-    Transitions live in preallocated arrays, one row each. The arrays are
-    allocated empty, so only the rows written ever take up memory.
+    Each state is stored once, in preallocated arrays that take up memory
+    only as rows are written. A push after a non-terminal one must carry
+    that push's next state (the same object, or equal values), else it
+    raises `ValueError`. So a row's next state is the following row's state,
+    and only the newest row's is kept apart. A terminal row's next state is
+    not kept: `sample` gives the next episode's first state in its place.
     """
 
     def __init__(self, capacity: int, state_dim: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.states = np.empty((capacity, state_dim), dtype=np.float32)
-        self.next_states = np.empty((capacity, state_dim), dtype=np.float32)
+        self.last_next_state = np.empty(state_dim, dtype=np.float32)
         self.actions = np.empty(capacity, dtype=np.int64)
         self.rewards = np.empty(capacity, dtype=np.float64)
         self.terminal = np.empty(capacity, dtype=bool)
         self._pushed = 0
+        self._chain = None      # the last push's next_state; None before any and after an end
 
     def push(self, state, action: int, reward: float, next_state, terminal: bool):
+        if self._chain is not None and state is not self._chain \
+                and not np.array_equal(np.asarray(state, np.float32), self.last_next_state):
+            raise ValueError("state is not the previous transition's next state")
         i = self._pushed % self.capacity    # once full, the oldest row
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_states[i] = next_state
+        self.last_next_state[:] = next_state
         self.terminal[i] = terminal
         self._pushed += 1
+        self._chain = None if terminal else next_state
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
@@ -188,8 +195,10 @@ class ReplayMemory:
         if batch_size > len(self):
             raise ValueError("not enough transitions to sample a minibatch")
         idx = rng.integers(0, len(self), size=batch_size)
+        next_states = self.states[(idx + 1) % self.capacity]
+        next_states[idx == (self._pushed - 1) % self.capacity] = self.last_next_state
         return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
-                     self.next_states[idx], self.terminal[idx])
+                     next_states, self.terminal[idx])
 
 
 # -- schedules / action selection -----------------------------------------------
@@ -204,8 +213,6 @@ def epsilon_value(i: int, eps0: float, eps_inf: float, decay_steps: int) -> floa
 
 def select_action(net: MLP, state: np.ndarray, epsilon: float,
                   rng: np.random.Generator) -> int:
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
     n_actions = net.layer_sizes[-1]
     if rng.random() < epsilon:
         return int(rng.integers(0, n_actions))
@@ -343,8 +350,6 @@ def fixed_split(policy, licensed_rbs: int) -> CallablePolicy:
     `policy` is a baseline that keeps no state, so it observes nothing."""
 
     def act(env: SchedulingEnv) -> int:
-        if not 1 <= licensed_rbs <= env.R:
-            raise ValueError("licensed_rbs must be in 1..R")
         return policy.act(env) if env.psi <= licensed_rbs else 0
 
     return CallablePolicy(act)

@@ -51,15 +51,17 @@ class ExperimentConfig:
     learning_window: int = 1000  # RL steps, for the emitted learning curve
 
     def validate(self):
-        """Check every key against its rule in `_KEYS`.
+        """Check every key's type (that of its parser) and rule in `_KEYS`.
 
-        The bounds that are numbers are checked for every key before the
-        bounds that name another key, so a bad value is reported under its
-        own key rather than under a key whose rule it is a bound of.
+        A key's type is checked before its bounds, and the bounds that are
+        numbers for every key before the bounds that name another key, so a
+        bad value is reported under its own key, not under a key it bounds.
         """
         values = _values(self)
         for named in (False, True):
-            for key, (_, _, _, rule) in _KEYS.items():
+            for key, (_, _, parser, rule) in _KEYS.items():
+                if not (named or _typed(parser, values[key])):
+                    raise ConfigError(f"{key}: wrong type, got {values[key]!r}")
                 if _breaks(rule, values[key], values, named):
                     allowed = rule if isinstance(rule, str) else \
                         "{" + ", ".join(map(str, rule)) + "}"
@@ -100,6 +102,15 @@ def _parse_hidden(text: str) -> tuple:
 
 
 _BOOL = (True, False)
+
+
+def _typed(parser, value) -> bool:
+    """Whether `value` has the type `parser` returns; only a bool key takes a bool."""
+    if parser is _parse_hidden:
+        return isinstance(value, tuple) and all(_typed(int, v) for v in value)
+    kinds = (int, float) if parser is float else bool if parser is _parse_bool else parser
+    return isinstance(value, kinds) and isinstance(value, bool) == (parser is _parse_bool)
+
 
 # The one table of config keys: dotted key -> (target section, attribute,
 # parser, rule). `ExperimentConfig.validate` checks every rule.

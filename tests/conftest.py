@@ -5,6 +5,7 @@ import pytest
 
 from rbshare import channel as ch
 from rbshare import traffic as tr
+from rbshare.agent import Batch
 from rbshare.environment import BufferEntry, SchedulingEnv
 from rbshare.metrics import RunMetrics
 
@@ -125,3 +126,37 @@ class GridRecorder:
             return out
 
         env.step = recorded_step
+
+
+class TwoArrayReplay:
+    """A replay ring with separate `states` and `next_states` arrays, one row
+    per transition, sampled with the same draw as `ReplayMemory`: the oracle
+    that `ReplayMemory` is checked against."""
+
+    def __init__(self, capacity: int, state_dim: int):
+        self.capacity = capacity
+        self.states = np.empty((capacity, state_dim), dtype=np.float32)
+        self.next_states = np.empty((capacity, state_dim), dtype=np.float32)
+        self.actions = np.empty(capacity, dtype=np.int64)
+        self.rewards = np.empty(capacity, dtype=np.float64)
+        self.terminal = np.empty(capacity, dtype=bool)
+        self._pushed = 0
+
+    def push(self, state, action: int, reward: float, next_state, terminal: bool):
+        i = self._pushed % self.capacity
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.terminal[i] = terminal
+        self._pushed += 1
+
+    def __len__(self) -> int:
+        return min(self._pushed, self.capacity)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        if batch_size > len(self):
+            raise ValueError("not enough transitions to sample a minibatch")
+        idx = rng.integers(0, len(self), size=batch_size)
+        return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
+                     self.next_states[idx], self.terminal[idx])

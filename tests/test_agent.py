@@ -106,9 +106,10 @@ def batch_of(*transitions):
 
 
 def push_numbered(mem, n, dim=1):
-    """Push transitions 0..n-1; transition i carries i in every field."""
+    """Push transitions 0..n-1; transition i carries i in every field but
+    its next state, which is i + 1: the chain the memory requires."""
     for i in range(n):
-        mem.push(np.full(dim, i), i, float(i), np.full(dim, -i), i % 2 == 1)
+        mem.push(np.full(dim, i), i, float(i), np.full(dim, i + 1), i % 2 == 1)
 
 
 class TestTargetsAndSync:
@@ -216,21 +217,28 @@ class TestReplay:
         # The sixth transition overwrote the oldest one, in row 0.
         assert sorted(mem.actions) == [1, 2, 3, 4, 5]
         assert mem.actions[0] == 5
-        mem.push(np.full(1, 6), 6, 6.0, np.full(1, -6), False)
+        mem.push(np.full(1, 6), 6, 6.0, np.full(1, 7), False)
         assert sorted(mem.actions) == [2, 3, 4, 5, 6]
         assert len(mem) == 5
 
     def test_rows_stay_aligned(self):
         mem = ag.ReplayMemory(capacity=7, state_dim=3)
         push_numbered(mem, 12, dim=3)
-        batch = mem.sample(7, np.random.default_rng(16))
-        i = batch.actions
-        assert set(i) <= set(range(5, 12))
-        assert np.array_equal(batch.states, np.repeat(i[:, None], 3, axis=1))
-        assert np.array_equal(batch.next_states, -batch.states)
-        assert np.array_equal(batch.rewards, i.astype(float))
-        assert np.array_equal(batch.terminal, i % 2 == 1)
-        assert batch.states.dtype == np.float32 and batch.states.flags.c_contiguous
+        rng = np.random.default_rng(16)
+        seen = set()
+        for _ in range(20):
+            batch = mem.sample(7, rng)
+            i = batch.actions
+            seen.update(i)
+            assert np.array_equal(batch.states, np.repeat(i[:, None], 3, axis=1))
+            assert np.array_equal(batch.next_states, batch.states + 1)
+            assert np.array_equal(batch.rewards, i.astype(float))
+            assert np.array_equal(batch.terminal, i % 2 == 1)
+            assert batch.states.dtype == np.float32 and batch.states.flags.c_contiguous
+            assert batch.next_states.dtype == np.float32
+        # Every row was drawn, so past the wrap: the newest row's next state
+        # (12) is the one kept apart, and row 6's (7) is read from row 0.
+        assert seen == set(range(5, 12))
 
     def test_uniform_sampling(self):
         from scipy.stats import chisquare
@@ -242,6 +250,24 @@ class TestReplay:
             for action in mem.sample(10, rng).actions:
                 counts[action] += 1
         assert chisquare(counts).pvalue > 0.01
+
+    def test_unchained_push_rejected(self):
+        mem = ag.ReplayMemory(capacity=4, state_dim=2)
+        mem.push(np.zeros(2), 0, 0.0, np.ones(2), False)
+        mem.push(np.ones(2), 1, 0.0, np.full(2, 2.0), True)   # equal values chain
+        mem.push(np.full(2, 5.0), 2, 0.0, np.full(2, 3.0), False)  # after an end
+        with pytest.raises(ValueError, match="next state"):
+            mem.push(np.full(2, 4.0), 3, 0.0, np.full(2, 5.0), False)
+        assert len(mem) == 3
+
+    # One float32 state per row plus an int64 action, a float64 reward and a
+    # bool flag (17 bytes), and one state kept apart. The benchmark's memory
+    # bound would not notice a second state array on a 1 500-row ring.
+    @pytest.mark.parametrize("capacity, state_dim", [(1, 1), (1_500, 97), (100_000, 97)])
+    def test_footprint(self, capacity, state_dim):
+        mem = ag.ReplayMemory(capacity, state_dim)
+        nbytes = sum(v.nbytes for v in vars(mem).values() if isinstance(v, np.ndarray))
+        assert nbytes <= capacity * (4 * state_dim + 17) + 4 * state_dim
 
     def test_minibatch_needs_enough(self):
         mem = ag.ReplayMemory(capacity=10, state_dim=1)

@@ -1,4 +1,4 @@
-"""Golden fingerprints: six small runs whose artifacts must not change.
+"""Golden fingerprints: seven small runs whose artifacts must not change.
 
 Each config runs through `harness.run` with an output directory. The test
 hashes the bytes of `summary.json` and of every CSV, and the key, dtype,
@@ -50,6 +50,13 @@ def golden_configs() -> dict:
         "mt+f-low": ExperimentConfig(
             policy="mt+f", episodes=2, steps_per_episode=200, rate="low", buffer_len=3,
             channel=ChannelParams(corr_param=0.5)),
+        # A 700-row replay ring wraps about seven times, so minibatches hold
+        # episode ends that are not the newest row.
+        "dqn-wrap": ExperimentConfig(
+            policy="dqn", episodes=3, steps_per_episode=150, checkpoint=True,
+            eval_set=True,
+            agent=AgentConfig(replay_capacity=700, min_observations=200,
+                              target_sync=50, hidden=(64, 64))),
     }
 
 
@@ -115,6 +122,14 @@ GOLDEN = {
         'latency_type3.csv': 'e3105f5dd0d2433c6f0deafecb755b0861fd8f02d86add89c7d84b4f4ee5f552',
         'learning_curve.csv': 'bab0014799b6a67ff34ad43b2a2969de4c92de457ae64f9c42c0190e2a5dcec1',
         'summary.json': '2986af40ec7679a0c6765604ecf2de700a1651866b02d5b0dba851258870544b',
+    },
+    'dqn-wrap': {
+        'latency_type1.csv': '229e6dec2ee13e4a612a382849d838d8b15ac3ee4de7a16524309aa31757ca85',
+        'latency_type2.csv': '8c4e4c84747df2576532f8fabdd591b499912d60745bd4b63928d704bf93b8cc',
+        'latency_type3.csv': 'e6f87ab0bc446062438ece73f0485fefb785796f60f76940d926e244fc0c1a13',
+        'learning_curve.csv': 'e874944df0d6dd332d9fe07d23a528fb999a742a112eb2347156cefec35cdabc',
+        'qnetwork.npz': '0914b286cc51119038caa320e002d7cdfe79d7aac33162dcd54ef8e1b4eff6b1',
+        'summary.json': 'd963dbced0c36c164887309bdc53b5e46ed239449b299fbad195a35ece5e4ea7',
     },
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -137,6 +138,40 @@ run.licensed_rbs = 4
         assert cfg.policy == "mt+f"
 
 
+def with_value(key, value) -> ExperimentConfig:
+    """The default config with one key set in Python, past any parser."""
+    section, attr, _, _ = harness._KEYS[key]
+    cfg = ExperimentConfig()
+    if section == "channel":
+        cfg.channel = dataclasses.replace(cfg.channel, **{attr: value})
+    else:
+        setattr(cfg.agent if section == "agent" else cfg, attr, value)
+    return cfg
+
+
+class TestValidateTypes:
+    # A value of the wrong type used to pass `validate` (and fail midway or
+    # not at all) or fail it with a bare TypeError.
+    @pytest.mark.parametrize("key, value", [
+        ("run.seed", "3"), ("run.episodes", 2.5), ("env.buffer_len", True),
+        ("run.eval_set", 1), ("agent.eps0", True), ("channel.num_rbs", 6.0),
+        ("channel.dist_max", "100"), ("agent.hidden", (8.0,)), ("agent.hidden", [8]),
+        ("agent.hidden", (True, 8)), ("traffic.rate", b"high"), ("run.policy", None),
+        ("agent.replay_capacity", None),
+    ])
+    def test_wrong_type_names_key(self, key, value):
+        message = f"{key}: wrong type, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            with_value(key, value).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("reward.alpha", 2), ("channel.tx_power", np.float64(0.2)),
+        ("agent.hidden", (8,)), ("run.freeze_eval", True),
+    ])
+    def test_right_type_passes(self, key, value):
+        with_value(key, value).validate()
+
+
 def tiny_config(policy="mt", seed=0, **kw):
     cfg = ExperimentConfig(policy=policy, seed=seed, episodes=2,
                            steps_per_episode=40, eval_set=False, **kw)
@@ -228,11 +263,18 @@ class TestEncodeOnDemand:
 
     @pytest.mark.parametrize("freeze_eval", [False, True])
     def test_dqn_encodes_once_per_step(self, encodes, monkeypatch, freeze_eval):
-        policies = []
+        policies, pushed = [], []
         make_policy = harness.make_policy
 
         def kept_policy(*args):
             policies.append(make_policy(*args))
+            push = policies[-1].memory.push
+
+            def recorded_push(state, action, reward, next_state, terminal):
+                pushed.append((state.copy(), next_state.copy()))
+                push(state, action, reward, next_state, terminal)
+
+            policies[-1].memory.push = recorded_push
             return policies[-1]
 
         monkeypatch.setattr(harness, "make_policy", kept_policy)
@@ -251,8 +293,13 @@ class TestEncodeOnDemand:
         assert n == 2 * cfg.episodes * steps
         ends = np.flatnonzero(mem.terminal[:n])
         assert list(ends) == [steps * (e + 1) - 1 for e in range(2 * cfg.episodes)]
+        # Within an episode, the state the policy acts on is the one it
+        # pushed as the last step's next state; the ring holds each once.
+        states, next_states = (np.stack(column) for column in zip(*pushed))
         within = ~mem.terminal[:n - 1]
-        assert np.array_equal(mem.next_states[:n - 1][within], mem.states[1:n][within])
+        assert np.array_equal(next_states[:n - 1][within], states[1:n][within])
+        assert np.array_equal(mem.states[:n], states)
+        assert np.array_equal(mem.last_next_state, next_states[-1])
         # The first state of an episode is the freshly reset environment:
         # an empty buffer, zero continuity counters, the first RB.
         fresh = np.zeros(mem.states.shape[1], dtype=np.float32)

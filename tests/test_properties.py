@@ -1,6 +1,7 @@
 """Property tests: over random scenarios and policies, the accounting that
 `RunMetrics` builds from `SchedulingEnv.step` closes against recounts made
-apart from it."""
+apart from it; over random chains of transitions, the replay memory samples
+what a ring of separate state and next-state arrays would."""
 
 import copy
 
@@ -8,10 +9,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GridRecorder, Ledger, env_metrics, make_env
+from conftest import GridRecorder, Ledger, TwoArrayReplay, env_metrics, make_env
 from rbshare import channel as ch
 from rbshare import traffic as tr
-from rbshare.agent import CallablePolicy, fixed_split, ml_action, mt_action, random_policy
+from rbshare.agent import MLP, CallablePolicy, ReplayMemory, dqn_targets, fixed_split, \
+    ml_action, mt_action, random_policy
 
 
 @st.composite
@@ -95,3 +97,39 @@ def test_accounting_closes(s):
     assert len(rec.mask_grid) == s["steps"]
     assert m.unlicensed_rb_steps == rb_steps
     assert m.unlicensed_bits == bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.sampled_from([1, 2, 3, 7]), state_dim=st.integers(1, 4),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_replay_matches_two_array_oracle(capacity, state_dim, data, seed):
+    n = data.draw(st.integers(1, 3 * capacity), label="pushes")
+    terminal = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="terminal")
+    rng = np.random.default_rng(seed)
+    mem, oracle = ReplayMemory(capacity, state_dim), TwoArrayReplay(capacity, state_dim)
+    # Transition k carries action k, so a sampled row names its push.
+    state = rng.standard_normal(state_dim).astype(np.float32)
+    for k in range(n):
+        next_state = rng.standard_normal(state_dim).astype(np.float32)
+        reward = float(rng.standard_normal())
+        for ring in (mem, oracle):
+            ring.push(state, k, reward, next_state, terminal[k])
+        # A new episode starts from a state of its own.
+        state = rng.standard_normal(state_dim).astype(np.float32) if terminal[k] \
+            else next_state
+    assert len(mem) == len(oracle) == min(n, capacity)
+
+    net = MLP([state_dim, 5, 3], rng=rng, dtype=np.float32)
+    for batch_size in range(1, len(mem) + 1):
+        got = mem.sample(batch_size, np.random.default_rng(seed + batch_size))
+        want = oracle.sample(batch_size, np.random.default_rng(seed + batch_size))
+        for name in ("states", "actions", "rewards", "terminal"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        # Only a terminal row's next state, which is never bootstrapped
+        # from, may differ; the newest row's is kept even when terminal.
+        kept = ~got.terminal | (got.actions == n - 1)
+        assert got.next_states.dtype == want.next_states.dtype
+        assert np.array_equal(got.next_states[kept], want.next_states[kept])
+        targets = dqn_targets(got, net, 0.9)
+        assert np.array_equal(targets, dqn_targets(want, net, 0.9))
