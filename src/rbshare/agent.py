@@ -48,7 +48,13 @@ class MLP:
             raise ValueError(
                 f"input dim {a.shape[-1]} != network input {self.layer_sizes[0]}"
             )
-        return self._forward_cached(a)[-1]
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = a @ w
+            a += b
+            if i != last:
+                np.maximum(a, 0.0, out=a)
+        return a
 
     def _forward_cached(self, x: np.ndarray):
         activations = [np.asarray(x, dtype=self.dtype)]
@@ -216,7 +222,7 @@ def select_action(net: MLP, state: np.ndarray, epsilon: float,
     n_actions = net.layer_sizes[-1]
     if rng.random() < epsilon:
         return int(rng.integers(0, n_actions))
-    return int(np.argmax(net.forward(state)))  # argmax ties -> lowest index
+    return int(net.forward(state).argmax())  # argmax ties -> lowest index
 
 
 def dqn_targets(batch: Batch, target_net: MLP, gamma: float) -> np.ndarray:

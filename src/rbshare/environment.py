@@ -32,6 +32,11 @@ class BufferEntry:
 
     Entries compare by identity, so scans of the buffer for `None` (`count`,
     `in`) stay in C instead of calling a generated `__eq__` per slot.
+
+    `scaled` caches the encoded channel row, `deliverable / (W·T·se_max)`.
+    Only `SchedulingEnv.encode` fills it, again whenever `deliverable` is not
+    the object `scaled_of` holds. The two are class attributes, not fields,
+    so admissions and redraws cost nothing more.
     """
 
     service: tr.ServiceType
@@ -40,6 +45,8 @@ class BufferEntry:
     link: ch.LinkState
     deliverable: tuple[int, ...]    # bits per RB, refreshed each coherence period
     delivered_bits: int = 0
+    scaled = ()
+    scaled_of = None
 
 
 class StepOutcome(NamedTuple):
@@ -140,24 +147,22 @@ class SchedulingEnv:
 
     def encode(self) -> np.ndarray:
         """Flatten to the normalized [q^1 .. q^L, v, psi]; empty slots give zeros."""
-        out = np.zeros(self.state_dim(), dtype=np.float64)
-        vbase = (self.R + 3) * self.L
-        q = out[:vbase].reshape(self.L, self.R + 3)
-        for j, entry in enumerate(self.buffer):
+        out = []
+        empty = [0.0] * (self.R + 3)
+        for entry in self.buffer:
             if entry is None:
+                out += empty
                 continue
-            row = q[j]
+            if entry.scaled_of is not entry.deliverable:
+                se_bits = self.rb_bits * self.se_max
+                entry.scaled = [bits / se_bits for bits in entry.deliverable]
+                entry.scaled_of = entry.deliverable
             svc = entry.service
-            row[0] = svc.id
-            row[1] = entry.ttl / svc.max_latency
-            row[2] = entry.remaining_bits / svc.pdu_bits
-            row[3:] = entry.deliverable
-        # Each bit count divided once, as float(bits) / (W*T*se_max).
-        q[:, 3:] /= self.rb_bits * self.se_max
-        out[vbase:-1] = self.v
-        out[vbase:-1] /= V_SCALE_CAP
-        out[-1] = self.psi / self.R
-        return out
+            out += (svc.id, entry.ttl / svc.max_latency, entry.remaining_bits / svc.pdu_bits)
+            out += entry.scaled
+        out += [vk / V_SCALE_CAP for vk in self.v]
+        out.append((self.rl_step % self.R + 1) / self.R)
+        return np.array(out, dtype=np.float64)
 
     # -- dynamics -------------------------------------------------------------
 

@@ -31,6 +31,20 @@ class TestMlpForward:
         for i, x in enumerate(batch):
             assert np.allclose(out[i], net.forward(x))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(97,), (32, 97)])
+    def test_forward_matches_cached_activations(self, dtype, shape):
+        # One state against one state and a batch against a batch: GEMV and
+        # GEMM round differently, so rows of the two are not compared.
+        rng = np.random.default_rng(3)
+        net = ag.MLP([97, 64, 64, 11], rng=rng, dtype=dtype)
+        for b in net.biases:
+            b[:] = rng.normal(0.0, 0.05, size=b.shape)
+        x = rng.random(shape)
+        out = net.forward(x)
+        assert out.dtype == dtype and out.shape == shape[:-1] + (11,)
+        assert out.tobytes() == net._forward_cached(x)[-1].tobytes()
+
     def test_dimension_mismatch(self):
         net = ag.MLP([4, 2])
         with pytest.raises(ValueError):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GridRecorder, Ledger, env_metrics, make_env, put_entry
 from test_agent import randomize_buffer
 from rbshare import traffic as tr
+from rbshare.agent import mt_action, random_policy
 from rbshare.environment import V_SCALE_CAP, aggregate_reward
 
 
@@ -56,6 +59,32 @@ class TestStateEncoding:
                 got = e.encode()
                 assert got.dtype == np.float64
                 assert got.tobytes() == reference_encode(e).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), num_rbs=st.sampled_from([1, 6, 25]),
+           buffer_len=st.sampled_from([1, 12]), coherence_time=st.sampled_from([1, 12]),
+           policy=st.sampled_from(["mt", "random"]))
+    def test_encode_never_stale(self, seed, num_rbs, buffer_len, coherence_time, policy):
+        """Live episodes of 25 time steps cross two or more fading redraws;
+        the cached channel rows must follow each one."""
+        e = make_env(buffer_len=buffer_len, num_rbs=num_rbs, coherence_time=coherence_time,
+                     steps=25, seed=seed)
+        act = mt_action if policy == "mt" else random_policy(np.random.default_rng(seed)).act
+        e.reset()
+        while True:
+            assert e.encode().tobytes() == reference_encode(e).tobytes()
+            if e.done:
+                break
+            e.step(act(e))
+
+    def test_replaced_deliverable_reencodes(self, env):
+        entry = put_entry(env, slot=2, bits_per_rb=999)
+        first = env.encode()
+        entry.deliverable = tuple(range(100, 100 + env.R))
+        second = env.encode()
+        assert second.tobytes() == reference_encode(env).tobytes()
+        assert second[2 * (env.R + 3) + 3] == 100 / (env.rb_bits * env.se_max)
+        assert not np.array_equal(first, second)
 
     def test_dimension_l10(self, env):
         assert env.state_dim() == 97
