@@ -9,14 +9,12 @@ Subpackages:
     harness     -- experiment configuration and orchestration
 """
 
-from rbshare.channel import ChannelParams, CqiTable, default_cqi_table
+from rbshare.channel import ChannelParams
 from rbshare.environment import SchedulingEnv
 from rbshare.harness import ExperimentConfig, load_config, run
 
 __all__ = [
     "ChannelParams",
-    "CqiTable",
-    "default_cqi_table",
     "SchedulingEnv",
     "ExperimentConfig",
     "load_config",

@@ -301,7 +301,7 @@ class DQNPolicy:
 
 def mt_action(env: SchedulingEnv) -> int:
     """Max-throughput: slot with the most deliverable bits on the current RB
-    (as `env.deliverable_now`); the lowest slot wins ties."""
+    (as `deliverable_now` in `tests/conftest.py`); the lowest slot wins ties."""
     k = env.rl_step % env.R
     best, best_bits = 0, -1
     for j, entry in enumerate(env.buffer, 1):

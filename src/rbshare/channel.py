@@ -153,40 +153,12 @@ def noise_power(params: ChannelParams) -> float:
     )
 
 
-def sinr(params: ChannelParams, h_k: complex) -> float:
-    """Linear SINR with uniform per-RB power split."""
-    return (params.tx_power_total / params.num_rbs) * abs(h_k) ** 2 / noise_power(params)
-
-
-def sinr_to_cqi(sinr_linear: float) -> int:
-    """Largest CQI whose efficiency stays below channel capacity.
-
-    CQI 0 when even the lowest rate would exceed log2(1 + SINR).
-    """
-    capacity = math.log2(1.0 + sinr_linear)
-    cqi = 15
-    while cqi > 0 and LTE_CQI_EFFICIENCY[cqi] > capacity:
-        cqi -= 1
-    return cqi
-
-
-def cqi_to_se(cqi: int) -> float:
-    if not 0 <= cqi <= 15:
-        raise ValueError(f"CQI out of range: {cqi}")
-    return LTE_CQI_EFFICIENCY[cqi]
-
-
-def deliverable_bits(cqi: int, params: ChannelParams) -> int:
-    """Whole bits deliverable on one RB at the given CQI."""
-    return int(math.floor(params.rb_bits * cqi_to_se(cqi)))
-
-
 def link_deliverable_bits(link: LinkState, params: ChannelParams) -> tuple[int, ...]:
     """Per-RB deliverable bit counts for a link (Def.-style t vector).
 
-    The same chain as `sinr`, `sinr_to_cqi` and `deliverable_bits` RB by RB,
-    with the per-link constants taken out of the loop and plain floats and
-    ints in it, so every value is bit for bit what the scalar rules give.
+    The same chain as the scalar rules `sinr`, `sinr_to_cqi` and `deliverable_bits`
+    of `tests/conftest.py` RB by RB, with the per-link constants taken out of the
+    loop and plain floats and ints in it, so every value is bit for bit theirs.
     The CQI is the last efficiency <= capacity, found by bisection; a NaN
     capacity bisects to CQI 15 as the scalar scan does. |h| stays Python's
     `abs`: `np.abs` of a complex array rounds differently on some values.

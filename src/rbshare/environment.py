@@ -133,13 +133,6 @@ class SchedulingEnv:
         """Current RB index, 1..R."""
         return self.rl_step % self.R + 1
 
-    def deliverable_now(self, slot_index: int) -> int:
-        """Bits the current RB can actually deliver to a slot (min with demand)."""
-        entry = self.buffer[slot_index]
-        if entry is None:
-            return 0
-        return min(entry.deliverable[self.rl_step % self.R], entry.remaining_bits)
-
     # -- state encoding --------------------------------------------------------
 
     def state_dim(self) -> int:

@@ -224,17 +224,10 @@ def make_policy(config: ExperimentConfig, state_dim: int,
     if name == "dqn":
         return DQNPolicy(state_dim, config.buffer_len + 1, config.agent,
                          init_rng, explore_rng)
-    if name == "mt":
-        return CallablePolicy(mt_action)
-    if name == "ml":
-        return CallablePolicy(ml_action)
     if name == "random":
         return random_policy(policy_rng)
-    if name == "mt+f":
-        return fixed_split(CallablePolicy(mt_action), config.licensed_rbs)
-    if name == "ml+f":
-        return fixed_split(CallablePolicy(ml_action), config.licensed_rbs)
-    raise ConfigError(f"unknown policy {name!r}")
+    greedy = CallablePolicy(mt_action if name.startswith("mt") else ml_action)
+    return fixed_split(greedy, config.licensed_rbs) if name.endswith("+f") else greedy
 
 
 def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: ExperimentConfig):
@@ -330,6 +323,22 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
 
 
 _SCENARIO_KEYS = ("num_rbs", "buffer_len", "continuity_len", "rate")
+_COMPARED = ("se_licensed_adjusted", "se_unlicensed", "acceptance_ratio", "missed_ratio")
+
+
+def _read_summary(artifact_dir) -> dict:
+    """One run's `summary.json`, with every key `compare` reads."""
+    path = Path(artifact_dir) / "summary.json"
+    if not path.exists():
+        raise ConfigError(f"no summary.json in {artifact_dir}")
+    try:
+        summary = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"{path}: not a JSON file ({exc})") from exc
+    needed = _SCENARIO_KEYS + ("policy",) + _COMPARED
+    if not isinstance(summary, dict) or not summary.keys() >= set(needed):
+        raise ConfigError(f"{path}: not a run summary (needs the keys {', '.join(needed)})")
+    return summary
 
 
 def compare(artifact_dirs: list) -> str:
@@ -338,12 +347,7 @@ def compare(artifact_dirs: list) -> str:
     Runs must share the scenario parameters (R, L, C, rate); rows group
     policies, aggregating seeds as mean +/- sample std.
     """
-    summaries = []
-    for d in artifact_dirs:
-        path = Path(d) / "summary.json"
-        if not path.exists():
-            raise ConfigError(f"no summary.json in {d}")
-        summaries.append(json.loads(path.read_text()))
+    summaries = [_read_summary(d) for d in artifact_dirs]
     if len(summaries) < 1:
         raise ConfigError("nothing to compare")
     scenario = {k: summaries[0][k] for k in _SCENARIO_KEYS}
@@ -358,13 +362,11 @@ def compare(artifact_dirs: list) -> str:
             label += f"({s['licensed_rbs']}/{s['num_rbs'] - s['licensed_rbs']})"
         groups.setdefault(label, []).append(s)
 
-    metrics = ("se_licensed_adjusted", "se_unlicensed", "acceptance_ratio",
-               "missed_ratio")
-    header = f"{'policy':<14}" + "".join(f"{m:>28}" for m in metrics)
+    header = f"{'policy':<14}" + "".join(f"{m:>28}" for m in _COMPARED)
     lines = [header]
     for label, rows in sorted(groups.items()):
         cells = [f"{label:<14}"]
-        for m in metrics:
+        for m in _COMPARED:
             vals = np.array([r[m] for r in rows], dtype=float)
             std = vals.std(ddof=1) if len(vals) > 1 else 0.0
             cells.append(f"{vals.mean():>17.4f} ± {std:<8.4f}")

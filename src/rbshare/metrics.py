@@ -93,9 +93,8 @@ class RunMetrics:
         return self.unlicensed_bits / (self.params.rb_bits * self.unlicensed_rb_steps)
 
     def ratios(self) -> tuple[float, float]:
-        if self.arrivals == 0:
-            raise ValueError("no arrivals recorded")
-        acceptance = self.accepted / self.arrivals
+        """Acceptance and missed ratios; (1.0, 0.0) before any arrival."""
+        acceptance = self.accepted / self.arrivals if self.arrivals else 1.0
         missed = self.missed / self.accepted if self.accepted else 0.0
         return acceptance, missed
 
@@ -119,8 +118,6 @@ class RunMetrics:
         time steps; returns a list of (time_step, mean) pairs, with 0.0 for a
         window holding no allocation attempts.
         """
-        if window < 1:
-            raise ValueError("window must be >= 1")
         idx = np.frombuffer(self.alloc_steps, dtype=np.int64)
         cum = np.concatenate([[0.0], np.cumsum(np.frombuffer(self.alloc_se))])
         out = []
@@ -131,7 +128,7 @@ class RunMetrics:
         return out
 
     def summary(self) -> dict:
-        acceptance, missed = self.ratios() if self.arrivals else (1.0, 0.0)
+        acceptance, missed = self.ratios()
         return {
             "time_steps": self.time_steps,
             "se_licensed": self.se_licensed(),

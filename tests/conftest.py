@@ -5,9 +5,52 @@ import pytest
 
 from rbshare import channel as ch
 from rbshare import traffic as tr
+from rbshare.channel import LTE_CQI_EFFICIENCY, ChannelParams, noise_power
 from rbshare.agent import Batch
 from rbshare.environment import BufferEntry, SchedulingEnv
 from rbshare.metrics import RunMetrics
+
+
+# -- scalar reference rules ----------------------------------------------------
+# The SINR -> CQI -> bits chain one RB at a time, with a linear CQI scan, and
+# the bits an action delivers: what `channel.link_deliverable_bits` (which
+# bisects) and the accounting are checked against.
+
+
+def sinr(params: ChannelParams, h_k: complex) -> float:
+    """Linear SINR with uniform per-RB power split."""
+    return (params.tx_power_total / params.num_rbs) * abs(h_k) ** 2 / noise_power(params)
+
+
+def sinr_to_cqi(sinr_linear: float) -> int:
+    """Largest CQI whose efficiency stays below channel capacity.
+
+    CQI 0 when even the lowest rate would exceed log2(1 + SINR).
+    """
+    capacity = math.log2(1.0 + sinr_linear)
+    cqi = 15
+    while cqi > 0 and LTE_CQI_EFFICIENCY[cqi] > capacity:
+        cqi -= 1
+    return cqi
+
+
+def cqi_to_se(cqi: int) -> float:
+    if not 0 <= cqi <= 15:
+        raise ValueError(f"CQI out of range: {cqi}")
+    return LTE_CQI_EFFICIENCY[cqi]
+
+
+def deliverable_bits(cqi: int, params: ChannelParams) -> int:
+    """Whole bits deliverable on one RB at the given CQI."""
+    return int(math.floor(params.rb_bits * cqi_to_se(cqi)))
+
+
+def deliverable_now(env, slot_index: int) -> int:
+    """Bits the current RB can actually deliver to a slot (min with demand)."""
+    entry = env.buffer[slot_index]
+    if entry is None:
+        return 0
+    return min(entry.deliverable[env.rl_step % env.R], entry.remaining_bits)
 
 
 def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.inf,
@@ -74,7 +117,7 @@ class Ledger:
         before = [e for e in env.buffer if e is not None]
         now = env.time_step
         if action:
-            self.delivered += env.deliverable_now(action - 1)
+            self.delivered += deliverable_now(env, action - 1)
         out = env.step(action)
         after = [e for e in env.buffer if e is not None]
         for entry in before:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import GridRecorder, env_metrics, make_env, put_entry
+from conftest import GridRecorder, deliverable_now, env_metrics, make_env, put_entry
 from test_agent import oracle_ml, oracle_mt, randomize_buffer
 
 from rbshare.agent import MLP, AgentConfig, epsilon_value, ml_action, mt_action
@@ -184,7 +184,7 @@ def test_criterion_07_bit_conservation():
         while not env.done:
             action = int(rng.integers(0, env.L + 1))
             # What the current RB can carry to the chosen request, if any.
-            oracle_total += env.deliverable_now(action - 1) if action else 0
+            oracle_total += deliverable_now(env, action - 1) if action else 0
             m.record(env.step(action))
             for entry in env.buffer:
                 if entry is not None and (

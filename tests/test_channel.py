@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cqi_to_se, deliverable_bits, sinr, sinr_to_cqi
 from rbshare import channel as ch
 
 
@@ -116,50 +117,50 @@ class TestNoiseAndSinr:
         p = params()
         # d = 10 m, no shadowing, unit small-scale gain
         h = math.sqrt(10 ** (ch.free_space_constant(p) / 10))
-        assert ch.sinr(p, h) == pytest.approx(1.6e7, rel=0.01)
+        assert sinr(p, h) == pytest.approx(1.6e7, rel=0.01)
 
     def test_sinr_zero_channel(self):
-        assert ch.sinr(params(), 0.0) == 0.0
+        assert sinr(params(), 0.0) == 0.0
 
     def test_doubling_rbs_halves_sinr(self):
-        assert ch.sinr(params(num_rbs=12), 1.0) == pytest.approx(
-            ch.sinr(params(num_rbs=6), 1.0) / 2
+        assert sinr(params(num_rbs=12), 1.0) == pytest.approx(
+            sinr(params(num_rbs=6), 1.0) / 2
         )
 
 
 class TestCqiMapping:
     def test_capacity_between_levels(self):
         sinr = 2**2.59 - 1  # capacity exactly 2.59 b/s/Hz
-        assert ch.sinr_to_cqi(sinr) == 9
+        assert sinr_to_cqi(sinr) == 9
 
     def test_zero_sinr(self):
-        assert ch.sinr_to_cqi(0.0) == 0
+        assert sinr_to_cqi(0.0) == 0
 
     def test_saturated(self):
-        assert ch.sinr_to_cqi(1.6e7) == 15
+        assert sinr_to_cqi(1.6e7) == 15
 
     def test_lookup_values(self):
-        assert ch.cqi_to_se(0) == 0.0
-        assert ch.cqi_to_se(15) == 5.5547
-        assert ch.cqi_to_se(9) == 2.4063
+        assert cqi_to_se(0) == 0.0
+        assert cqi_to_se(15) == 5.5547
+        assert cqi_to_se(9) == 2.4063
         with pytest.raises(ValueError):
-            ch.cqi_to_se(16)
+            cqi_to_se(16)
 
     def test_deliverable_bits(self):
         p = params()
-        assert ch.deliverable_bits(15, p) == 999
-        assert ch.deliverable_bits(0, p) == 0
-        assert ch.deliverable_bits(1, p) == 27
+        assert deliverable_bits(15, p) == 999
+        assert deliverable_bits(0, p) == 0
+        assert deliverable_bits(1, p) == 27
 
     def test_below_capacity_invariant(self):
         rng = np.random.default_rng(5)
         for sinr in 10 ** rng.uniform(-3, 8, size=2000):
-            cqi = ch.sinr_to_cqi(sinr)
-            assert ch.cqi_to_se(cqi) <= math.log2(1 + sinr)
+            cqi = sinr_to_cqi(sinr)
+            assert cqi_to_se(cqi) <= math.log2(1 + sinr)
 
     def test_cqi_monotone_in_sinr(self):
         sinrs = np.sort(10 ** np.random.default_rng(6).uniform(-3, 8, size=500))
-        cqis = [ch.sinr_to_cqi(s) for s in sinrs]
+        cqis = [sinr_to_cqi(s) for s in sinrs]
         assert all(a <= b for a, b in zip(cqis, cqis[1:]))
 
 
@@ -213,9 +214,9 @@ def check_against_scalar_rules(links, p) -> set:
     cqis = set()
     for link in links:
         h = math.sqrt(link.large_scale) * link.small_scale
-        cqi = [ch.sinr_to_cqi(ch.sinr(p, hk)) for hk in h]
+        cqi = [sinr_to_cqi(sinr(p, hk)) for hk in h]
         cqis.update(cqi)
-        expected = [ch.deliverable_bits(c, p) for c in cqi]
+        expected = [deliverable_bits(c, p) for c in cqi]
         assert list(ch.link_deliverable_bits(link, p)) == expected
     return cqis
 

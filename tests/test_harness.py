@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_env
+from test_agent import oracle_ml, oracle_mt
 from rbshare import cli, harness
+from rbshare.agent import DQNPolicy
 from rbshare.environment import SchedulingEnv
 from rbshare.harness import ConfigError, ExperimentConfig, load_config
 
@@ -239,6 +242,36 @@ class TestRun:
         with pytest.raises(ConfigError, match="policy"):
             harness.run(cfg)
 
+    # Each name against its reference rule over one seeded episode; no golden
+    # run pins plain `ml`.
+    @pytest.mark.parametrize("name", harness.POLICIES)
+    def test_make_policy_builds_each_policy(self, name):
+        cfg = tiny_config(policy=name)
+        env = make_env(buffer_len=cfg.buffer_len, steps=cfg.steps_per_episode, seed=3)
+        policy = harness.make_policy(cfg, env.state_dim(), np.random.default_rng(1),
+                                     np.random.default_rng(2), np.random.default_rng(4))
+        if name == "dqn":
+            assert isinstance(policy, DQNPolicy)
+            assert policy.net.layer_sizes[-1] == env.L + 1
+            return
+        twin = np.random.default_rng(4)
+        base = oracle_mt if name.startswith("mt") else oracle_ml
+        env.reset()
+        served = reserved = 0
+        while not env.done:
+            if name == "random":
+                expected = int(twin.integers(0, env.L + 1))
+            elif name.endswith("+f") and env.psi > cfg.licensed_rbs:
+                expected = 0
+                reserved += base(env) != 0
+            else:
+                expected = base(env)
+            served += expected != 0
+            assert policy.act(env) == expected
+            env.step(expected)
+        assert served > 0
+        assert reserved > 0 or not name.endswith("+f")
+
 
 @pytest.fixture
 def encodes(monkeypatch):
@@ -410,3 +443,13 @@ class TestCli:
         cli.main(["run", str(cfg), "--policy", "ml", "--out", str(tmp_path / "o2")])
         assert cli.main(["compare", str(tmp_path / "o1"), str(tmp_path / "o2")]) == 0
         assert "policy" in capsys.readouterr().out
+
+    # Each used to end in a traceback: a KeyError and a JSONDecodeError.
+    @pytest.mark.parametrize("text", ["{}", "not json"], ids=["no_keys", "not_json"])
+    def test_compare_bad_summary_names_file(self, tmp_path, capsys, text):
+        (tmp_path / "summary.json").write_text(text)
+        assert cli.main(["compare", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'summary.json'}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and every
-top-level function and class of the package is named somewhere else."""
+"""No module of the package imports a name it never uses, every top-level
+function and class of the package is named somewhere else, and none of
+them, nor any method, is named only by the tests."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rbshare"
 # Where a top-level name of the package may be used.
 USERS = ("src", "tests", "perfbench")
+# Where the program's own names are read: code that only `tests/` reads is a
+# test oracle and belongs there.
+PROGRAM = ("src", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -77,11 +81,45 @@ def test_dead_name_detector():
     assert set(top_level_names(defs)) - referenced_names(users) == {"Dead"}
 
 
-def test_no_dead_top_level_names():
+def names_read_in(folders) -> set[str]:
     used: set[str] = set()
-    for folder in USERS:
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             used |= referenced_names(path.read_text())
+    return used
+
+
+def test_no_dead_top_level_names():
+    used = names_read_in(USERS)
     dead = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
             for name in top_level_names(path.read_text()) if name not in used]
     assert dead == []
+
+
+def defined_names(source: str) -> list[str]:
+    """The module's top-level functions and classes, then the methods of
+    those classes other than dunders."""
+    methods = [item.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return top_level_names(source) + methods
+
+
+def test_test_only_name_detector():
+    defs = ("def used():\n    pass\ndef oracle():\n    pass\n"
+            "class Env:\n    def __init__(self):\n        pass\n"
+            "    def step(self):\n        pass\n    def peek(self):\n        pass\n")
+    program = "env = Env()\nenv.step()\nused()\n"
+    tests = "oracle()\nEnv().peek()\n"
+    assert defined_names(defs) == ["used", "oracle", "Env", "step", "peek"]
+    assert set(defined_names(defs)) - referenced_names(program + tests) == set()
+    assert [n for n in defined_names(defs) if n not in referenced_names(program)] == \
+        ["oracle", "peek"]
+
+
+def test_no_test_only_names():
+    used = names_read_in(PROGRAM)
+    test_only = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for name in defined_names(path.read_text()) if name not in used]
+    assert test_only == []

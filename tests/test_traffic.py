@@ -23,10 +23,6 @@ class TestCatalog:
         for a, b in zip(low, high):
             assert (a.pdu_bits, a.max_latency) == (b.pdu_bits, b.max_latency)
 
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError):
-            tr.service_catalog("medium")
-
 
 class TestInterarrival:
     def test_mean(self):
