@@ -8,6 +8,7 @@ taken action's output.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,37 +42,31 @@ class MLP:
             self.weights.append(w)
             self.biases.append(np.zeros(fan_out, dtype=dtype))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a single state or a batch (last layer is linear)."""
+    def activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """The input, then every layer's output (the last layer is linear), for
+        a single state or a batch; each layer works in place on its product."""
         a = np.asarray(x, dtype=self.dtype)
         if a.shape[-1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"input dim {a.shape[-1]} != network input {self.layer_sizes[0]}"
-            )
+            raise ValueError(f"input dim {a.shape[-1]} != network input {self.layer_sizes[0]}")
+        acts = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w
             a += b
             if i != last:
                 np.maximum(a, 0.0, out=a)
-        return a
+            acts.append(a)
+        return acts
 
-    def _forward_cached(self, x: np.ndarray):
-        activations = [np.asarray(x, dtype=self.dtype)]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w + b
-            if i != last:
-                np.maximum(z, 0.0, out=z)
-            activations.append(z)
-        return activations
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Q-values for a single state or a batch."""
+        return self.activations(x)[-1]
 
     def gradients(self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray):
         """Gradients of sum_j (y_j - Q(s_j, a_j))^2 w.r.t. weights and biases."""
-        states = np.atleast_2d(np.asarray(states, dtype=self.dtype))
         actions = np.asarray(actions, dtype=np.int64)
         targets = np.asarray(targets, dtype=self.dtype)
-        acts = self._forward_cached(states)
+        acts = self.activations(np.atleast_2d(states))
         q = acts[-1][np.arange(len(actions)), actions]
         grads_w = [np.empty(0)] * len(self.weights)
         grads_b = [np.empty(0)] * len(self.biases)
@@ -108,19 +103,6 @@ class MLP:
             b -= gb
         return loss
 
-    def copy_from(self, other: "MLP"):
-        if self.layer_sizes != other.layer_sizes:
-            raise ValueError("network shapes differ")
-        for w, ow in zip(self.weights, other.weights):
-            w[...] = ow
-        for b, ob in zip(self.biases, other.biases):
-            b[...] = ob
-
-    def clone(self) -> "MLP":
-        net = MLP(self.layer_sizes, rng=None, dtype=self.dtype)
-        net.copy_from(self)
-        return net
-
     def save(self, path):
         """Checkpoint format v1: npz with layer sizes + row-major arrays."""
         arrays = {"format_version": np.array([1]),
@@ -145,7 +127,9 @@ class MLP:
 
 
 def sync_target(main: MLP, target: MLP):
-    target.copy_from(main)
+    """Copy `main`'s weights and biases into `target`'s arrays, in place."""
+    for t, m in zip(target.weights + target.biases, main.weights + main.biases):
+        t[...] = m
 
 
 # -- replay memory ---------------------------------------------------------------
@@ -262,7 +246,7 @@ class DQNPolicy:
         sizes = [state_dim, *config.hidden, n_actions]
         self.config = config
         self.net = MLP(sizes, rng=init_rng, init_std=config.init_std, dtype=np.float32)
-        self.target = self.net.clone()
+        self.target = copy.deepcopy(self.net)
         self.memory = ReplayMemory(config.replay_capacity, state_dim)
         self.state: np.ndarray | None = None     # encoded current state
         self.explore_rng = explore_rng

@@ -114,33 +114,27 @@ def _sqrt_correlation(omega: float, num_rbs: int) -> np.ndarray:
     return root
 
 
-def sample_small_scale(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """One correlated Rayleigh draw: unit-power complex gain per RB."""
+def _fading_draws(n: int, params: ChannelParams, rng: np.random.Generator) -> list:
+    """n correlated Rayleigh draws, each a unit-power complex gain per RB, from
+    one normal draw with the values and stream of n draws of 2R. The product stays
+    one `root @ z` per draw: `z @ root.T` is another BLAS kernel, with other bits."""
     r = params.num_rbs
-    x = rng.standard_normal(2 * r)  # the same stream as two draws of r
-    z = (x[:r] + 1j * x[r:]) / math.sqrt(2.0)
-    return _sqrt_correlation(params.corr_param, r) @ z
+    x = rng.standard_normal((n, 2, r))
+    z = (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
+    root = _sqrt_correlation(params.corr_param, r)
+    return [root @ zi for zi in z]
 
 
 def draw_link(params: ChannelParams, rng: np.random.Generator) -> LinkState:
     _, gain = sample_large_scale(params, rng)
-    return LinkState(large_scale=gain, small_scale=sample_small_scale(params, rng))
+    return LinkState(large_scale=gain, small_scale=_fading_draws(1, params, rng)[0])
 
 
 def redraw_small_scale(links: list[LinkState], params: ChannelParams,
                        rng: np.random.Generator):
-    """New small-scale gains for every link, in list order: the same values
-    and stream as one `sample_small_scale` per link, from a single draw.
-
-    The product stays one `root @ z` per link: a single `z @ root.T` over all
-    links is a different BLAS kernel and does not give the same bits.
-    """
-    r = params.num_rbs
-    x = rng.standard_normal((len(links), 2, r))
-    z = (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
-    root = _sqrt_correlation(params.corr_param, r)
-    for link, zi in zip(links, z):
-        link.small_scale = root @ zi
+    """New small-scale gains for every link, in list order, from one draw."""
+    for link, h in zip(links, _fading_draws(len(links), params, rng)):
+        link.small_scale = h
 
 
 def noise_power(params: ChannelParams) -> float:

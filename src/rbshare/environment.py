@@ -69,12 +69,10 @@ def aggregate_reward(
 ) -> float:
     """End-of-time-step reward: (1/R)(alpha*r1 + beta*r2) * latency factor.
 
-    `delta = inf` disables the latency factor (forces it to 1).
+    The factor is 1 - exp(-delta * min_norm_ttl), so `delta = inf` makes it
+    exactly 1.0 for any `min_norm_ttl > 0`.
     """
-    if math.isinf(delta):
-        r3 = 1.0
-    else:
-        r3 = 1.0 - math.exp(-delta * min_norm_ttl)
+    r3 = 1.0 - math.exp(-delta * min_norm_ttl)
     return (alpha * r1 + beta * r2) * r3 / num_rbs
 
 

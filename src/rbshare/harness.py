@@ -173,8 +173,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     `overrides` maps keys to value text that replaces the file's.
     """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc})") from exc
     settings = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -250,6 +254,9 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Execute a full experiment: training set, then (optionally) the
     evaluation set with exploration pinned at its floor."""
     config.validate()
+    out_path = None if out_dir is None else Path(out_dir)
+    if out_path:    # made first, so a bad directory fails before the run
+        out_path.mkdir(parents=True, exist_ok=True)
     ss = np.random.SeedSequence(config.seed)
     init_ss, explore_ss, traffic_ss, channel_ss, unlic_train_ss, unlic_eval_ss, policy_ss = \
         ss.spawn(7)
@@ -298,10 +305,7 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         "licensed_rbs": config.licensed_rbs if config.policy.endswith("+f") else None,
     })
 
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
+    if out_path:
         (out_path / "config_echo.txt").write_text(config_echo(config))
         (out_path / "seed.txt").write_text(f"{config.seed}\n")
         with open(out_path / "learning_curve.csv", "w") as f:
@@ -324,10 +328,14 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
 
 _SCENARIO_KEYS = ("num_rbs", "buffer_len", "continuity_len", "rate")
 _COMPARED = ("se_licensed_adjusted", "se_unlicensed", "acceptance_ratio", "missed_ratio")
+# Every summary key `compare` reads, with the types its value may have.
+_SUMMARY_TYPES = {"num_rbs": int, "buffer_len": int, "continuity_len": int, "rate": str,
+                  "policy": str, "licensed_rbs": (int, type(None)),
+                  **dict.fromkeys(_COMPARED, (int, float))}
 
 
 def _read_summary(artifact_dir) -> dict:
-    """One run's `summary.json`, with every key `compare` reads."""
+    """One run's `summary.json`, with every key `compare` reads, each of its type."""
     path = Path(artifact_dir) / "summary.json"
     if not path.exists():
         raise ConfigError(f"no summary.json in {artifact_dir}")
@@ -335,9 +343,12 @@ def _read_summary(artifact_dir) -> dict:
         summary = json.loads(path.read_text())
     except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"{path}: not a JSON file ({exc})") from exc
-    needed = _SCENARIO_KEYS + ("policy",) + _COMPARED
-    if not isinstance(summary, dict) or not summary.keys() >= set(needed):
-        raise ConfigError(f"{path}: not a run summary (needs the keys {', '.join(needed)})")
+    if not isinstance(summary, dict) or not summary.keys() >= _SUMMARY_TYPES.keys():
+        raise ConfigError(f"{path}: not a run summary "
+                          f"(needs the keys {', '.join(_SUMMARY_TYPES)})")
+    for key, kind in _SUMMARY_TYPES.items():
+        if not isinstance(summary[key], kind):
+            raise ConfigError(f"{path}: {key}: wrong type, got {summary[key]!r}")
     return summary
 
 
@@ -358,7 +369,7 @@ def compare(artifact_dirs: list) -> str:
     groups: dict = {}
     for s in summaries:
         label = s["policy"]
-        if s.get("licensed_rbs"):
+        if s["licensed_rbs"]:
             label += f"({s['licensed_rbs']}/{s['num_rbs'] - s['licensed_rbs']})"
         groups.setdefault(label, []).append(s)
 

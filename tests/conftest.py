@@ -11,10 +11,12 @@ from rbshare.environment import BufferEntry, SchedulingEnv
 from rbshare.metrics import RunMetrics
 
 
-# -- scalar reference rules ----------------------------------------------------
+# -- reference rules -----------------------------------------------------------
 # The SINR -> CQI -> bits chain one RB at a time, with a linear CQI scan, and
 # the bits an action delivers: what `channel.link_deliverable_bits` (which
-# bisects) and the accounting are checked against.
+# bisects) and the accounting are checked against. Then one fading draw at a
+# time and the network's layers out of place, for `channel.draw_link`,
+# `channel.redraw_small_scale` and `MLP.activations`.
 
 
 def sinr(params: ChannelParams, h_k: complex) -> float:
@@ -51,6 +53,25 @@ def deliverable_now(env, slot_index: int) -> int:
     if entry is None:
         return 0
     return min(entry.deliverable[env.rl_step % env.R], entry.remaining_bits)
+
+
+def sample_small_scale(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+    """One correlated Rayleigh draw: unit-power complex gain per RB."""
+    r = params.num_rbs
+    x = rng.standard_normal(2 * r)  # the same stream as two draws of r
+    z = (x[:r] + 1j * x[r:]) / math.sqrt(2.0)
+    return ch._sqrt_correlation(params.corr_param, r) @ z
+
+
+def forward_chain(net, x) -> list[np.ndarray]:
+    """The input and every layer's output of `net`, each layer computed out
+    of place as `np.maximum(a @ w + b, 0)` (the last without the ReLU): what
+    the in-place loop of `MLP.activations` is checked against."""
+    acts = [np.asarray(x, dtype=net.dtype)]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == len(net.weights) - 1 else np.maximum(z, 0))
+    return acts
 
 
 def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.inf,

@@ -1,9 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_env, put_entry
+from conftest import forward_chain, make_env, put_entry
 from rbshare import agent as ag
 
 
@@ -34,16 +35,21 @@ class TestMlpForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(97,), (32, 97)])
     def test_forward_matches_cached_activations(self, dtype, shape):
-        # One state against one state and a batch against a batch: GEMV and
-        # GEMM round differently, so rows of the two are not compared.
+        # Every activation training keeps, and the forward pass, are byte for
+        # byte the out-of-place chain's. One state against one state and a
+        # batch against a batch: GEMV and GEMM round differently, so rows of
+        # the two are not compared.
         rng = np.random.default_rng(3)
         net = ag.MLP([97, 64, 64, 11], rng=rng, dtype=dtype)
         for b in net.biases:
             b[:] = rng.normal(0.0, 0.05, size=b.shape)
         x = rng.random(shape)
-        out = net.forward(x)
-        assert out.dtype == dtype and out.shape == shape[:-1] + (11,)
-        assert out.tobytes() == net._forward_cached(x)[-1].tobytes()
+        want = forward_chain(net, x)
+        got = net.activations(x)
+        assert [a.shape for a in got] == [shape[:-1] + (n,) for n in net.layer_sizes]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+        assert net.forward(x).tobytes() == want[-1].tobytes()
 
     def test_dimension_mismatch(self):
         net = ag.MLP([4, 2])
@@ -152,14 +158,19 @@ class TestTargetsAndSync:
         rng = np.random.default_rng(5)
         main = ag.MLP([4, 8, 3], rng=rng)
         target = ag.MLP([4, 8, 3], rng=rng)
+        arrays = target.weights + target.biases
         ag.sync_target(main, target)
         x = rng.normal(size=(6, 4))
         assert np.array_equal(main.forward(x), target.forward(x))
+        # In place: the target keeps its own arrays.
+        assert all(a is b for a, b in zip(target.weights + target.biases, arrays))
+        assert not any(np.shares_memory(a, b) for a, b in
+                       zip(target.weights + target.biases, main.weights + main.biases))
 
     def test_target_constant_between_syncs(self):
         rng = np.random.default_rng(6)
         main = ag.MLP([4, 8, 3], rng=rng)
-        target = main.clone()
+        target = copy.deepcopy(main)
         x = rng.normal(size=4)
         before = target.forward(x).copy()
         for _ in range(10):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cqi_to_se, deliverable_bits, sinr, sinr_to_cqi
+from conftest import cqi_to_se, deliverable_bits, sample_small_scale, sinr, sinr_to_cqi
 from rbshare import channel as ch
 
 
@@ -72,20 +72,20 @@ class TestSmallScale:
     def test_omega_zero_identity_covariance(self):
         p = params(corr_param=0.0)
         rng = np.random.default_rng(1)
-        draws = np.stack([ch.sample_small_scale(p, rng) for _ in range(50_000)])
+        draws = np.stack([sample_small_scale(p, rng) for _ in range(50_000)])
         cov = (draws.conj().T @ draws) / len(draws)
         assert np.allclose(cov, np.eye(p.num_rbs), atol=0.02)
 
     def test_omega_one_identical_components(self):
         p = params(corr_param=1.0)
-        zeta = ch.sample_small_scale(p, np.random.default_rng(2))
+        zeta = sample_small_scale(p, np.random.default_rng(2))
         assert np.allclose(zeta, zeta[0])
 
     @pytest.mark.parametrize("omega", [0.001, 0.5])
     def test_sample_covariance_matches_analytic(self, omega):
         p = params(corr_param=omega)
         rng = np.random.default_rng(3)
-        draws = np.stack([ch.sample_small_scale(p, rng) for _ in range(100_000)])
+        draws = np.stack([sample_small_scale(p, rng) for _ in range(100_000)])
         cov = (draws.conj().T @ draws).real / len(draws)
         idx = np.arange(p.num_rbs)
         phi = omega ** np.abs(idx[:, None] - idx[None, :])
@@ -94,7 +94,7 @@ class TestSmallScale:
     def test_unit_power_per_component(self):
         p = params()
         rng = np.random.default_rng(4)
-        draws = np.stack([ch.sample_small_scale(p, rng) for _ in range(100_000)])
+        draws = np.stack([sample_small_scale(p, rng) for _ in range(100_000)])
         power = (np.abs(draws) ** 2).mean(axis=0)
         assert np.all(np.abs(power - 1.0) < 0.02)
 
@@ -234,9 +234,26 @@ def test_sample_small_scale_matches_reference_bytes(corr_param, num_rbs):
     for _ in range(200):
         x = twin.standard_normal(2 * num_rbs)
         want = root @ ((x[:num_rbs] + 1j * x[num_rbs:]) / math.sqrt(2.0))
-        got = ch.sample_small_scale(p, rng)
+        got = sample_small_scale(p, rng)
         assert got.dtype == want.dtype == np.complex128
         assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("num_rbs", [1, 6, 25])
+@pytest.mark.parametrize("corr_param", [0.0, 0.001, 0.5, 1.0])
+def test_draw_link_matches_sequential_draws(corr_param, num_rbs):
+    """A link's placement and its fading are, byte for byte, one
+    `sample_large_scale` and then one `sample_small_scale`, and use as much
+    of the stream."""
+    p = params(corr_param=corr_param, num_rbs=num_rbs)
+    rng, twin = np.random.default_rng(19), np.random.default_rng(19)
+    for _ in range(200):
+        link = ch.draw_link(p, rng)
+        assert link.large_scale == ch.sample_large_scale(p, twin)[1]
+        want = sample_small_scale(p, twin)
+        assert link.small_scale.dtype == want.dtype and link.small_scale.shape == (num_rbs,)
+        assert link.small_scale.tobytes() == want.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -254,7 +271,7 @@ def test_redraw_small_scale_matches_sequential_draws(n, corr_param, num_rbs):
     for _ in range(3):
         ch.redraw_small_scale(links, p, rng)
         for link in links:
-            want = ch.sample_small_scale(p, twin)
+            want = sample_small_scale(p, twin)
             assert link.small_scale.dtype == want.dtype
             assert link.small_scale.tobytes() == want.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state

@@ -252,7 +252,9 @@ class TestReward:
         assert final == pytest.approx(expected, abs=1e-9)
 
     def test_delta_inf_forces_unit_latency_factor(self):
-        assert aggregate_reward(3, 1, 1e-9, 1, 1, math.inf, 6) == pytest.approx(4 / 6)
+        # Exactly: 1 - exp(-inf * t) is 1.0 for every t > 0.
+        for min_norm_ttl in (5e-324, 1e-9, 1 / 150, 1.0):
+            assert aggregate_reward(3, 1, min_norm_ttl, 1, 1, math.inf, 6) == 4 / 6
 
     def test_invalid_on_final_rb(self):
         e = make_env()

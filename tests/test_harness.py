@@ -175,6 +175,12 @@ class TestValidateTypes:
         with_value(key, value).validate()
 
 
+# Every key `compare` reads, each with a value of its type.
+SUMMARY = {"num_rbs": 6, "buffer_len": 10, "continuity_len": 2, "rate": "high",
+           "policy": "mt", "licensed_rbs": None, "se_licensed_adjusted": 1.5,
+           "se_unlicensed": 2, "acceptance_ratio": 1.0, "missed_ratio": 0.0}
+
+
 def tiny_config(policy="mt", seed=0, **kw):
     cfg = ExperimentConfig(policy=policy, seed=seed, episodes=2,
                            steps_per_episode=40, eval_set=False, **kw)
@@ -218,6 +224,18 @@ class TestRun:
         a = harness.run(tiny_config(seed=1))
         b = harness.run(tiny_config(seed=2))
         assert a.summary["delivered_bits"] != b.summary["delivered_bits"]
+
+    # The output directory is made before the first RL step, so a path that
+    # cannot be one fails at once, not after the whole run.
+    def test_bad_out_dir_fails_before_the_run(self, tmp_path, monkeypatch):
+        (tmp_path / "file").write_text("")
+
+        def reset(env):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(SchedulingEnv, "reset", reset)
+        with pytest.raises(NotADirectoryError):
+            harness.run(tiny_config(), out_dir=tmp_path / "file" / "sub")
 
     def test_checkpoint_written(self, tmp_path):
         cfg = tiny_config(policy="dqn")
@@ -444,12 +462,31 @@ class TestCli:
         assert cli.main(["compare", str(tmp_path / "o1"), str(tmp_path / "o2")]) == 0
         assert "policy" in capsys.readouterr().out
 
-    # Each used to end in a traceback: a KeyError and a JSONDecodeError.
-    @pytest.mark.parametrize("text", ["{}", "not json"], ids=["no_keys", "not_json"])
-    def test_compare_bad_summary_names_file(self, tmp_path, capsys, text):
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes("\ufeffrun.policy = mt\n".encode("utf-16-le"))  # starts ff fe
+        assert cli.main(["run", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {cfg}: not a text file (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    # Each used to end in a traceback: a KeyError, a JSONDecodeError, a
+    # ValueError from the table's float array and a TypeError from the label.
+    @pytest.mark.parametrize("text, key", [
+        ("{}", None), ("not json", None),
+        (json.dumps({**SUMMARY, "se_licensed_adjusted": "x"}), "se_licensed_adjusted"),
+        (json.dumps({**SUMMARY, "licensed_rbs": "4"}), "licensed_rbs"),
+    ], ids=["no_keys", "not_json", "bad_se", "bad_licensed_rbs"])
+    def test_compare_bad_summary_names_file(self, tmp_path, capsys, text, key):
         (tmp_path / "summary.json").write_text(text)
         assert cli.main(["compare", str(tmp_path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {tmp_path / 'summary.json'}: ")
+        assert key is None or f": {key}: wrong type, got " in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_compare_reads_typed_summary(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text(json.dumps({**SUMMARY, "licensed_rbs": 4}))
+        assert cli.main(["compare", str(tmp_path)]) == 0
+        assert "mt(4/2)" in capsys.readouterr().out

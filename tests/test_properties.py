@@ -27,6 +27,7 @@ def scenarios(draw):
         # Short episodes, and ones long enough for deadlines (150 to 300
         # time steps) to pass.
         "steps": draw(st.one_of(st.integers(1, 10), st.integers(160, 400))),
+        "episodes": draw(st.integers(2, 3)),
         # Down to 1, so short episodes redraw the unlicensed link too.
         "coherence_time": draw(st.integers(1, 13)),
         "seed": draw(st.integers(0, 2 ** 32 - 1)),
@@ -48,31 +49,35 @@ def test_accounting_closes(s):
                    steps=s["steps"], rate=s["rate"], seed=s["seed"],
                    num_rbs=s["num_rbs"], coherence_time=s["coherence_time"])
     rec = GridRecorder(env)
-    arrivals = tr.generate_arrivals(env.catalog, env.steps_per_episode,
-                                    copy.deepcopy(env.traffic_rng))
+    traffic_twin = copy.deepcopy(env.traffic_rng)
     link_seed = s["seed"] + 1
     m = env_metrics(env, link_seed)
     twin = np.random.default_rng(link_seed)
     policy = make_policy(s["policy"], s["licensed_rbs"], np.random.default_rng(s["seed"]))
     ledger = Ledger()
     resolved = []
-    env.reset()
-    while not env.done:
-        out = ledger.step(env, policy.act(env))
-        resolved += out.resolved
-        m.record(out)
-    live = sum(entry is not None for entry in env.buffer)
+    arrivals = abandoned = 0
+    for _ in range(s["episodes"]):
+        arrivals += len(tr.generate_arrivals(env.catalog, env.steps_per_episode, traffic_twin))
+        env.reset()
+        while not env.done:
+            out = ledger.step(env, policy.act(env))
+            resolved += out.resolved
+            m.record(out)
+        # Still live: the next `reset`, or the end of the run, drops them.
+        abandoned += sum(entry is not None for entry in env.buffer)
 
     # Every bit the RBs could carry to a chosen request is counted once.
     assert m.delivered_bits == ledger.delivered
     assert m.missed_bits == ledger.missed_bits
     # Every arrival is accepted or dropped; every accepted request is
-    # satisfied, missed or still in the buffer at the episode's end.
-    assert m.arrivals == len(arrivals)
+    # satisfied, missed or abandoned at the end of its episode.
+    assert m.arrivals == arrivals
     assert m.accepted == ledger.admitted
     assert (m.satisfied, m.missed) == (ledger.satisfied, ledger.missed)
-    assert m.accepted == m.satisfied + m.missed + live
-    assert m.time_steps == s["steps"] and m.rl_steps == s["steps"] * s["num_rbs"]
+    assert m.accepted == m.satisfied + m.missed + abandoned
+    time_steps = s["episodes"] * s["steps"]
+    assert m.time_steps == time_steps and m.rl_steps == time_steps * s["num_rbs"]
 
     # A satisfied request's latency is its age when it left the buffer; a
     # missed one's is its latency budget, which it has reached exactly.
@@ -83,10 +88,12 @@ def test_accounting_closes(s):
         for sid, age, missed, bits in ledger.resolved)
 
     # The unlicensed link's RBs and bits, recounted from the allocation grid
-    # with the link redrawn from a twin of its generator every coherence period.
-    v = np.zeros(env.R, dtype=np.int64)
+    # with the link redrawn from a twin of its generator every coherence period
+    # of the run, and the continuity counters zeroed at each episode's start.
     rb_steps = bits = 0
     for n, mask in enumerate(rec.mask_grid):
+        if n % s["steps"] == 0:
+            v = np.zeros(env.R, dtype=np.int64)
         if n % s["coherence_time"] == 0:
             link_bits = np.asarray(ch.link_deliverable_bits(ch.draw_link(env.params, twin),
                                                             env.params))
@@ -94,7 +101,7 @@ def test_accounting_closes(s):
         free = v >= env.C
         rb_steps += int(free.sum())
         bits += int(link_bits[free].sum())
-    assert len(rec.mask_grid) == s["steps"]
+    assert len(rec.mask_grid) == time_steps
     assert m.unlicensed_rb_steps == rb_steps
     assert m.unlicensed_bits == bits
 
