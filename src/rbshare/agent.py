@@ -162,31 +162,31 @@ class ReplayMemory:
         self.actions = np.empty(capacity, dtype=np.int64)
         self.rewards = np.empty(capacity, dtype=np.float64)
         self.terminal = np.empty(capacity, dtype=bool)
-        self._pushed = 0
+        self.pushed = 0         # transitions ever pushed; the DQN's ε step
         self._chain = None      # the last push's next_state; None before any and after an end
 
     def push(self, state, action: int, reward: float, next_state, terminal: bool):
         if self._chain is not None and state is not self._chain \
                 and not np.array_equal(np.asarray(state, np.float32), self.last_next_state):
             raise ValueError("state is not the previous transition's next state")
-        i = self._pushed % self.capacity    # once full, the oldest row
+        i = self.pushed % self.capacity    # once full, the oldest row
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
         self.last_next_state[:] = next_state
         self.terminal[i] = terminal
-        self._pushed += 1
+        self.pushed += 1
         self._chain = None if terminal else next_state
 
     def __len__(self) -> int:
-        return min(self._pushed, self.capacity)
+        return min(self.pushed, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         if batch_size > len(self):
             raise ValueError("not enough transitions to sample a minibatch")
         idx = rng.integers(0, len(self), size=batch_size)
         next_states = self.states[(idx + 1) % self.capacity]
-        next_states[idx == (self._pushed - 1) % self.capacity] = self.last_next_state
+        next_states[idx == (self.pushed - 1) % self.capacity] = self.last_next_state
         return Batch(self.states[idx], self.actions[idx], self.rewards[idx],
                      next_states, self.terminal[idx])
 
@@ -250,7 +250,6 @@ class DQNPolicy:
         self.memory = ReplayMemory(config.replay_capacity, state_dim)
         self.state: np.ndarray | None = None     # encoded current state
         self.explore_rng = explore_rng
-        self.global_step = 0            # drives the ε schedule
         self.train_steps = 0
         self.frozen = False             # eval-time learning freeze
         self.eps_override: float | None = None
@@ -260,18 +259,17 @@ class DQNPolicy:
         if self.eps_override is not None:
             return self.eps_override
         c = self.config
-        return epsilon_value(self.global_step, c.eps0, c.eps_inf, c.eps_decay_steps)
+        return epsilon_value(self.memory.pushed, c.eps0, c.eps_inf, c.eps_decay_steps)
 
     def act(self, env: SchedulingEnv) -> int:
         if self.state is None:
-            self.state = env.encode().astype(self.net.dtype)
+            self.state = env.encode()
         return select_action(self.net, self.state, self.epsilon, self.explore_rng)
 
     def observe(self, env: SchedulingEnv, action: int, reward: float, terminal: bool):
-        next_state = env.encode().astype(self.net.dtype)
+        next_state = env.encode()
         self.memory.push(self.state, action, reward, next_state, terminal)
         self.state = None if terminal else next_state
-        self.global_step += 1
         if self.frozen or len(self.memory) < self.config.min_observations:
             return
         batch = self.memory.sample(self.config.minibatch, self.explore_rng)

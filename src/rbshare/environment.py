@@ -44,7 +44,6 @@ class BufferEntry:
     remaining_bits: int
     link: ch.LinkState
     deliverable: tuple[int, ...]    # bits per RB, refreshed each coherence period
-    delivered_bits: int = 0
     scaled = ()
     scaled_of = None
 
@@ -58,7 +57,7 @@ class StepOutcome(NamedTuple):
     alloc_se: float | None = None   # achievable SE of an attempted allocation
     accepted: int = 0               # arrivals admitted at the end of the time step
     dropped: int = 0                # arrivals turned away by a full buffer
-    # Requests that left the buffer: (service id, latency, missed, delivered bits).
+    # Left the buffer: (service id, latency, missed, pdu_bits - remaining_bits).
     resolved: tuple | list = ()
     v_final: list[int] | None = None    # continuity counters, last RB of a time step
 
@@ -118,7 +117,6 @@ class SchedulingEnv:
         self.v = [0] * self.R
         self.mask = [False] * self.R
         self.rl_step = 0
-        self.time_step = 1
         self.r1 = 0.0
         self.done = False
         arrivals = tr.generate_arrivals(
@@ -137,7 +135,7 @@ class SchedulingEnv:
         return (self.R + 3) * self.L + self.R + 1
 
     def encode(self) -> np.ndarray:
-        """Flatten to the normalized [q^1 .. q^L, v, psi]; empty slots give zeros."""
+        """Flatten to the normalized float32 [q^1 .. q^L, v, psi]; empty slots are 0."""
         out = []
         empty = [0.0] * (self.R + 3)
         for entry in self.buffer:
@@ -153,7 +151,7 @@ class SchedulingEnv:
             out += entry.scaled
         out += [vk / V_SCALE_CAP for vk in self.v]
         out.append((self.rl_step % self.R + 1) / self.R)
-        return np.array(out, dtype=np.float64)
+        return np.array(out, dtype=np.float32)
 
     # -- dynamics -------------------------------------------------------------
 
@@ -180,13 +178,12 @@ class SchedulingEnv:
                 alloc_se = bits / self.rb_bits
                 delivered = min(bits, entry.remaining_bits)
                 entry.remaining_bits -= delivered
-                entry.delivered_bits += delivered
                 self.mask[k] = True
                 self.r1 += delivered / self.rb_bits / self.se_max
                 if entry.remaining_bits == 0:
                     svc = entry.service
                     resolved = [(svc.id, svc.max_latency - entry.ttl + 1, False,
-                                 entry.delivered_bits)]
+                                 svc.pdu_bits)]    # none left to send
                     self.buffer[action - 1] = None
 
         accepted = dropped = 0
@@ -238,10 +235,10 @@ class SchedulingEnv:
                 if not resolved:
                     resolved = []
                 resolved.append((entry.service.id, entry.service.max_latency, True,
-                                 entry.delivered_bits))
+                                 entry.service.pdu_bits - entry.remaining_bits))
                 self.buffer[j] = None
 
-        n = self.time_step
+        n = self.rl_step // self.R + 1    # the time step that ends here
         accepted = dropped = 0
         while self._pending and self._pending[-1].arrival_step <= n:
             req = self._pending.pop()
@@ -268,5 +265,4 @@ class SchedulingEnv:
                 for entry in live:
                     entry.deliverable = ch.link_deliverable_bits(entry.link, self.params)
 
-        self.time_step += 1
         return resolved, accepted, dropped

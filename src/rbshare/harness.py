@@ -18,8 +18,8 @@ import numpy as np
 
 from rbshare import channel as ch
 from rbshare import traffic as tr
-from rbshare.agent import AgentConfig, DQNPolicy, CallablePolicy, fixed_split, \
-    ml_action, mt_action, random_policy
+from rbshare.agent import AgentConfig, DQNPolicy, CallablePolicy, TrainingDiverged, \
+    fixed_split, ml_action, mt_action, random_policy
 from rbshare.environment import SchedulingEnv
 from rbshare.metrics import RunMetrics
 
@@ -174,7 +174,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     `overrides` maps keys to value text that replaces the file's.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file ({exc})") from exc
     settings = []
@@ -252,7 +252,11 @@ def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: Experiment
 
 def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Execute a full experiment: training set, then (optionally) the
-    evaluation set with exploration pinned at its floor."""
+    evaluation set with exploration pinned at its floor.
+
+    If training diverges, the artifacts of the set that was running are
+    written all the same, with `"status": "diverged"` and no checkpoint, and
+    `TrainingDiverged` is raised again."""
     config.validate()
     out_path = None if out_dir is None else Path(out_dir)
     if out_path:    # made first, so a bad directory fails before the run
@@ -279,20 +283,22 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
 
     train_metrics = RunMetrics(config.channel, config.continuity_len,
                                np.random.default_rng(unlic_train_ss))
-    _run_set(env, policy, train_metrics, config)
-
-    run_eval = config.eval_set and config.policy == "dqn"
-    if run_eval:
-        eval_metrics = RunMetrics(config.channel, config.continuity_len,
-                                  np.random.default_rng(unlic_eval_ss))
-        policy.eps_override = config.agent.eps_inf
-        policy.frozen = config.freeze_eval
-        _run_set(env, policy, eval_metrics, config)
-    else:
-        eval_metrics = train_metrics
+    eval_metrics = train_metrics    # the set that runs, then the one reported
+    diverged = None
+    try:
+        _run_set(env, policy, train_metrics, config)
+        if config.eval_set and config.policy == "dqn":
+            eval_metrics = RunMetrics(config.channel, config.continuity_len,
+                                      np.random.default_rng(unlic_eval_ss))
+            policy.eps_override = config.agent.eps_inf
+            policy.frozen = config.freeze_eval
+            _run_set(env, policy, eval_metrics, config)
+    except TrainingDiverged as exc:
+        diverged = exc
 
     summary = eval_metrics.summary()
     summary.update({
+        "status": "diverged" if diverged else "ok",
         "policy": config.policy,
         "seed": config.seed,
         "num_rbs": config.channel.num_rbs,
@@ -320,9 +326,10 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         with open(out_path / "summary.json", "w") as f:
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")
-        if config.checkpoint and config.policy == "dqn":
+        if config.checkpoint and config.policy == "dqn" and not diverged:
             policy.net.save(out_path / "qnetwork.npz")
-
+    if diverged:
+        raise diverged
     return RunArtifacts(out_path, summary, train_metrics, eval_metrics)
 
 
@@ -346,6 +353,8 @@ def _read_summary(artifact_dir) -> dict:
     if not isinstance(summary, dict) or not summary.keys() >= _SUMMARY_TYPES.keys():
         raise ConfigError(f"{path}: not a run summary "
                           f"(needs the keys {', '.join(_SUMMARY_TYPES)})")
+    if summary.get("status") == "diverged":
+        raise ConfigError(f"{path}: the run diverged, so it has no result to compare")
     for key, kind in _SUMMARY_TYPES.items():
         if not isinstance(summary[key], kind):
             raise ConfigError(f"{path}: {key}: wrong type, got {summary[key]!r}")

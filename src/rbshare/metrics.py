@@ -38,7 +38,7 @@ class RunMetrics:
     dropped: int = 0
     missed: int = 0
     satisfied: int = 0
-    latency: dict = field(default_factory=dict)      # type id -> [(latency, missed)]
+    latency: dict = field(default_factory=dict)      # type id -> [latency]
     unlicensed_bits: int = 0
     unlicensed_rb_steps: int = 0       # grid cells with continuity >= C
     unlicensed_bits_per_rb: tuple = field(init=False)   # the link's bits on each RB
@@ -63,7 +63,7 @@ class RunMetrics:
         self.accepted += out.accepted
         self.dropped += out.dropped
         for svc_id, latency, was_missed, bits in out.resolved:
-            self.latency.setdefault(svc_id, []).append((latency, was_missed))
+            self.latency.setdefault(svc_id, []).append(latency)
             if was_missed:
                 self.missed += 1
                 self.missed_bits += bits
@@ -99,7 +99,7 @@ class RunMetrics:
         return acceptance, missed
 
     def latency_cdf(self, service_id: int) -> list[tuple[int, float]]:
-        samples = sorted(lat for lat, _ in self.latency.get(service_id, []))
+        samples = sorted(self.latency.get(service_id, []))
         if not samples:
             raise ValueError(f"no latency samples for service type {service_id}")
         n = len(samples)
@@ -129,13 +129,16 @@ class RunMetrics:
 
     def summary(self) -> dict:
         acceptance, missed = self.ratios()
+        ran = self.time_steps > 0
         return {
             "time_steps": self.time_steps,
-            "se_licensed": self.se_licensed(),
-            "se_licensed_adjusted": self.se_licensed(adjusted=True),
-            "se_unlicensed": self.se_unlicensed(),
+            "se_licensed": self.se_licensed() if ran else None,
+            "se_licensed_adjusted": self.se_licensed(adjusted=True) if ran else None,
+            "se_unlicensed": self.se_unlicensed() if ran else None,
             "acceptance_ratio": acceptance,
             "missed_ratio": missed,
+            "missed_ratio_resolved": self.missed / max(self.satisfied + self.missed, 1),
+            "abandoned": self.accepted - self.satisfied - self.missed,  # left by reset or end
             "arrivals": self.arrivals,
             "accepted": self.accepted,
             "dropped": self.dropped,

@@ -117,46 +117,52 @@ class Ledger:
     """Accounting of one episode kept apart from the program's own.
 
     Before each step it adds the bits the current RB can deliver to the
-    chosen request (`deliverable_now`). After it, it compares the buffer with
-    the one before: a request that left with nothing more to send was
-    satisfied, one that left still wanting bits missed its deadline, and a
-    request that appeared was admitted.
+    chosen request (`deliverable_now`), to the total and to that request's
+    own tally. After it, it compares the buffer with the one before: a
+    request that left with nothing more to send was satisfied, one that left
+    still wanting bits missed its deadline, and a request that appeared was
+    admitted.
 
-    It also keeps the time step at which each request appeared, and for each
-    one that left a `(service id, age, missed, delivered bits)` record in
-    `resolved`, where the age is the time step it left at minus the one it
-    appeared at, plus one.
+    It also keeps the time step at which each request appeared, read from the
+    RL step as `rl_step // R + 1`, and for each one that left a `(service id,
+    age, missed, delivered bits)` record in `resolved`, where the age is the
+    time step it left at minus the one it appeared at, plus one.
     """
 
     def __init__(self):
         self.delivered = self.admitted = 0
         self.satisfied = self.missed = self.missed_bits = 0
         self.appeared: dict = {}    # entry -> first time step it spends in the buffer
+        self.got: dict = {}         # entry -> bits delivered to it so far
         self.resolved: list[tuple] = []
 
     def step(self, env, action: int):
         before = [e for e in env.buffer if e is not None]
-        now = env.time_step
+        now = env.rl_step // env.R + 1
         if action:
-            self.delivered += deliverable_now(env, action - 1)
+            bits = deliverable_now(env, action - 1)
+            self.delivered += bits
+            if bits:
+                entry = env.buffer[action - 1]
+                self.got[entry] = self.got.get(entry, 0) + bits
         out = env.step(action)
         after = [e for e in env.buffer if e is not None]
         for entry in before:
             if any(entry is e for e in after):
                 continue
+            got = self.got.pop(entry, 0)
             if entry.remaining_bits:
                 self.missed += 1
-                self.missed_bits += entry.delivered_bits
+                self.missed_bits += got
             else:
                 self.satisfied += 1
             if entry in self.appeared:
                 age = now - self.appeared.pop(entry) + 1
-                self.resolved.append((entry.service.id, age, bool(entry.remaining_bits),
-                                      entry.delivered_bits))
+                self.resolved.append((entry.service.id, age, bool(entry.remaining_bits), got))
         for entry in after:
             if not any(entry is e for e in before):
                 self.admitted += 1
-                self.appeared[entry] = env.time_step
+                self.appeared[entry] = env.rl_step // env.R + 1
         return out
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import GridRecorder, deliverable_now, env_metrics, make_env, put_entry
+from conftest import GridRecorder, Ledger, env_metrics, make_env, put_entry
 from test_agent import oracle_ml, oracle_mt, randomize_buffer
 
 from rbshare.agent import MLP, AgentConfig, epsilon_value, ml_action, mt_action
@@ -181,17 +181,17 @@ def test_criterion_07_bit_conservation():
         env = make_env(steps=20, seed=int(rng.integers(2 ** 31)))
         env.reset()
         m = env_metrics(env)
+        # Tallies what the current RB can carry to each chosen request.
+        ledger = Ledger()
         while not env.done:
-            action = int(rng.integers(0, env.L + 1))
-            # What the current RB can carry to the chosen request, if any.
-            oracle_total += deliverable_now(env, action - 1) if action else 0
-            m.record(env.step(action))
+            m.record(ledger.step(env, int(rng.integers(0, env.L + 1))))
             for entry in env.buffer:
                 if entry is not None and (
-                        entry.delivered_bits + entry.remaining_bits
+                        ledger.got.get(entry, 0) + entry.remaining_bits
                         != entry.service.pdu_bits):
                     violations += 1
         metrics_total += m.delivered_bits
+        oracle_total += ledger.delivered
     ok = violations == 0 and metrics_total == oracle_total
     report(7, ok, f"{violations} conservation violations; metrics/oracle totals "
                   f"{metrics_total}/{oracle_total}")

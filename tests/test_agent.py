@@ -224,6 +224,27 @@ class TestEpsilon:
             counts[ag.select_action(net, np.zeros(3), 1.0, rng)] += 1
         assert chisquare(counts).pvalue > 0.01
 
+    def test_epsilon_follows_push_count(self):
+        """ε is read from the replay's push count, which grows by one per
+        observed RL step, across an episode end and a wrapped ring."""
+        env = make_env(buffer_len=3, steps=10)  # 60 RL steps per episode
+        cfg = ag.AgentConfig(hidden=(8,), minibatch=4, min_observations=16,
+                             replay_capacity=50, eps_decay_steps=90)
+        pol = ag.DQNPolicy(env.state_dim(), env.L + 1, cfg,
+                           np.random.default_rng(0), np.random.default_rng(1))
+        steps = 0
+        for _ in range(2):
+            env.reset()
+            while not env.done:
+                assert pol.memory.pushed == steps
+                assert pol.epsilon == ag.epsilon_value(pol.memory.pushed, cfg.eps0,
+                                                       cfg.eps_inf, cfg.eps_decay_steps)
+                action = pol.act(env)
+                out = env.step(action)
+                pol.observe(env, action, out.reward, out.terminal)
+                steps += 1
+        assert pol.epsilon == cfg.eps_inf and len(pol.memory) == cfg.replay_capacity
+
     def test_argmax_invariant_to_positive_scaling(self):
         rng = np.random.default_rng(11)
         net = ag.MLP([3, 6], rng=rng)

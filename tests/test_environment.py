@@ -37,7 +37,7 @@ def reference_encode(env) -> np.ndarray:
             out += [bits / se_bits for bits in entry.deliverable]
     psi = env.rl_step % env.R + 1
     out += [vk / V_SCALE_CAP for vk in env.v] + [psi / env.R]
-    return np.array(out, dtype=np.float64)
+    return np.array(out, dtype=np.float64).astype(np.float32)
 
 
 class TestStateEncoding:
@@ -57,7 +57,7 @@ class TestStateEncoding:
             for k in range(e.R):
                 e.rl_step = trial * e.R + k
                 got = e.encode()
-                assert got.dtype == np.float64
+                assert got.dtype == np.float32
                 assert got.tobytes() == reference_encode(e).tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -143,8 +143,9 @@ class TestActionSemantics:
         out = env.step(1)
         assert out.delivered_bits == 500
         assert env.buffer[0] is None
-        # Type 1, admitted this time step (latency 1), not missed, 500 bits.
-        assert out.resolved == [(1, 1, False, 500)]
+        # Type 1, admitted this time step (latency 1), not missed, and its
+        # whole 3200-bit PDU delivered: 2700 bits before this step, 500 in it.
+        assert out.resolved == [(1, 1, False, 3200)]
 
     def test_action_range_checked_on_empty_buffer(self, env):
         for action in (env.L + 1, -1):
@@ -280,8 +281,7 @@ class TestTimeAdvance:
     def test_ttl_decrement_and_miss(self):
         e = make_env()
         e.reset()
-        entry = put_entry(e, 0, type_id=1, ttl=1, remaining=3200)
-        entry.delivered_bits = 999  # pretend one RB was credited earlier
+        put_entry(e, 0, type_id=1, ttl=1, remaining=3200 - 999)  # 999 bits delivered earlier
         outs = [e.step(0) for _ in range(e.R)]
         assert e.buffer[0] is None
         # Only the time step's last RB resolves it: type 1, counted at its
@@ -338,11 +338,12 @@ class TestConservation:
         for seed in range(20):
             e = make_env(steps=30, seed=seed + 100)
             e.reset()
+            ledger = Ledger()
             while not e.done:
-                e.step(int(rng.integers(0, e.L + 1)))
+                ledger.step(e, int(rng.integers(0, e.L + 1)))
                 for entry in e.buffer:
                     if entry is not None:
-                        assert entry.delivered_bits + entry.remaining_bits == \
+                        assert ledger.got.get(entry, 0) + entry.remaining_bits == \
                             entry.service.pdu_bits
 
     def test_stepping_finished_episode_raises(self):

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_env
 from test_agent import oracle_ml, oracle_mt
 from rbshare import cli, harness
-from rbshare.agent import DQNPolicy
+from rbshare.agent import AgentConfig, DQNPolicy, TrainingDiverged
 from rbshare.environment import SchedulingEnv
 from rbshare.harness import ConfigError, ExperimentConfig, load_config
 
@@ -237,6 +237,22 @@ class TestRun:
         with pytest.raises(NotADirectoryError):
             harness.run(tiny_config(), out_dir=tmp_path / "file" / "sub")
 
+    # The evaluation set diverges in its first time step (the training set
+    # has 20, and trains only from its 100th RL step): the record is that
+    # set's, with no SE to report, and holds no checkpoint.
+    def test_diverged_evaluation_set_leaves_its_record(self, tmp_path):
+        cfg = ExperimentConfig(policy="dqn", episodes=1, steps_per_episode=20, checkpoint=True,
+                               agent=AgentConfig(learning_rate=1.0, min_observations=100,
+                                                 hidden=(16,)))
+        with pytest.raises(TrainingDiverged):
+            harness.run(cfg, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "diverged" and summary["time_steps"] == 0
+        assert [summary[k] for k in ("se_licensed", "se_licensed_adjusted", "se_unlicensed")] \
+            == [None] * 3
+        assert (tmp_path / "learning_curve.csv").read_text() == "step,value\n"
+        assert not (tmp_path / "qnetwork.npz").exists()
+
     def test_checkpoint_written(self, tmp_path):
         cfg = tiny_config(policy="dqn")
         cfg.checkpoint = True
@@ -389,6 +405,7 @@ class TestCli:
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["policy"] == "mt" and summary["buffer_len"] == 5
+        assert summary["status"] == "ok"
         assert "se_licensed" in capsys.readouterr().out
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
@@ -454,6 +471,33 @@ class TestCli:
             assert cli.main(["run", str(cfg)]) == 1
         assert "error: training diverged: non-finite training loss" in capsys.readouterr().err
 
+    def test_diverged_run_leaves_its_record(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "agent.learning_rate = 1e6\n"
+                                     "agent.min_observations = 40\n"
+                                     "run.episodes = 1\nrun.steps_per_episode = 20\n"
+                                     "run.eval_set = false\nagent.hidden = 16\n"
+                                     "run.checkpoint = true\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("error: training diverged: non-finite training loss")
+        summary = json.loads((out / "summary.json").read_text())
+        # Training starts at the 40th of 120 RL steps; the counters stop where it diverged.
+        assert summary["status"] == "diverged" and 6 <= summary["time_steps"] < 20
+        assert summary["accepted"] == summary["satisfied"] + summary["missed"] + \
+            summary["abandoned"]
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["config_echo.txt", "learning_curve.csv", "seed.txt", "summary.json"]
+        # `compare` refuses it, naming the file.
+        assert cli.main(["compare", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: {out / 'summary.json'}: the run diverged, so it has no result " \
+                      "to compare\n"
+
     def test_compare_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "run.episodes = 1\nrun.steps_per_episode = 30\n"
                                      "run.eval_set = false\n")
@@ -469,6 +513,14 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {cfg}: not a text file (")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_config_with_utf8_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfrun.policy = mt\nrun.episodes = 1\n"
+                        b"run.steps_per_episode = 10\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        assert "run.policy = mt" in (out / "config_echo.txt").read_text().splitlines()
 
     # Each used to end in a traceback: a KeyError, a JSONDecodeError, a
     # ValueError from the table's float array and a TypeError from the label.

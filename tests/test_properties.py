@@ -76,6 +76,7 @@ def test_accounting_closes(s):
     assert m.accepted == ledger.admitted
     assert (m.satisfied, m.missed) == (ledger.satisfied, ledger.missed)
     assert m.accepted == m.satisfied + m.missed + abandoned
+    assert m.summary()["abandoned"] == abandoned
     time_steps = s["episodes"] * s["steps"]
     assert m.time_steps == time_steps and m.rl_steps == time_steps * s["num_rbs"]
 
