@@ -67,14 +67,6 @@ def default_cqi_table() -> CqiTable:
     return CqiTable()
 
 
-@dataclass
-class LinkState:
-    """Per-request link: fixed large-scale gain, vector of small-scale gains."""
-
-    large_scale: float                  # linear power gain
-    small_scale: np.ndarray             # complex, one entry per RB
-
-
 def free_space_constant(params: ChannelParams) -> float:
     """Free-space loss at the reference distance, in dB."""
     return 20.0 * math.log10(
@@ -125,16 +117,17 @@ def _fading_draws(n: int, params: ChannelParams, rng: np.random.Generator) -> li
     return [root @ zi for zi in z]
 
 
-def draw_link(params: ChannelParams, rng: np.random.Generator) -> LinkState:
+def draw_link(params: ChannelParams, rng: np.random.Generator) -> tuple[float, tuple]:
+    """A new link's large-scale gain, fixed for its lifetime, and its per-RB bits."""
     _, gain = sample_large_scale(params, rng)
-    return LinkState(large_scale=gain, small_scale=_fading_draws(1, params, rng)[0])
+    return gain, link_deliverable_bits(gain, _fading_draws(1, params, rng)[0], params)
 
 
-def redraw_small_scale(links: list[LinkState], params: ChannelParams,
-                       rng: np.random.Generator):
-    """New small-scale gains for every link, in list order, from one draw."""
-    for link, h in zip(links, _fading_draws(len(links), params, rng)):
-        link.small_scale = h
+def redraw_small_scale(gains: list[float], params: ChannelParams,
+                       rng: np.random.Generator) -> list[tuple]:
+    """Each link's per-RB bits under new fading, in `gains` order, from one draw."""
+    return [link_deliverable_bits(gain, h, params)
+            for gain, h in zip(gains, _fading_draws(len(gains), params, rng))]
 
 
 def noise_power(params: ChannelParams) -> float:
@@ -147,8 +140,10 @@ def noise_power(params: ChannelParams) -> float:
     )
 
 
-def link_deliverable_bits(link: LinkState, params: ChannelParams) -> tuple[int, ...]:
-    """Per-RB deliverable bit counts for a link (Def.-style t vector).
+def link_deliverable_bits(gain: float, h: np.ndarray,
+                          params: ChannelParams) -> tuple[int, ...]:
+    """Per-RB deliverable bit counts of a link with large-scale power gain
+    `gain` and small-scale fading row `h` (Def.-style t vector).
 
     The same chain as the scalar rules `sinr`, `sinr_to_cqi` and `deliverable_bits`
     of `tests/conftest.py` RB by RB, with the per-link constants taken out of the
@@ -161,8 +156,8 @@ def link_deliverable_bits(link: LinkState, params: ChannelParams) -> tuple[int, 
     n0 = noise_power(params)
     wt = params.rb_bits
     eff = LTE_CQI_EFFICIENCY
-    g = math.sqrt(link.large_scale)  # a complex times a real: the same product as numpy's
+    g = math.sqrt(gain)  # a complex times a real: the same product as numpy's
     return tuple([
         math.floor(wt * eff[bisect_right(eff, math.log2(1.0 + p_rb * abs(hk * g) ** 2 / n0)) - 1])
-        for hk in link.small_scale.tolist()
+        for hk in h.tolist()
     ])

@@ -18,8 +18,8 @@ import numpy as np
 from rbshare import channel as ch
 from rbshare import traffic as tr
 
-# Normalization cap for the continuity counters in the encoded state.
-V_SCALE_CAP = 64.0
+# Divides the continuity counters in the encoded state; it caps nothing.
+V_SCALE = 64.0
 
 
 @dataclass(eq=False)
@@ -42,7 +42,7 @@ class BufferEntry:
     service: tr.ServiceType
     ttl: int
     remaining_bits: int
-    link: ch.LinkState
+    gain: float                     # large-scale power gain, fixed for its lifetime
     deliverable: tuple[int, ...]    # bits per RB, refreshed each coherence period
     scaled = ()
     scaled_of = None
@@ -78,9 +78,12 @@ def aggregate_reward(
 class SchedulingEnv:
     """Requests' buffer + continuity MDP with per-RB actions.
 
-    Randomness is split between a traffic stream rng and a channel rng so that
-    policies consuming different amounts of channel randomness stay comparable
-    under a shared seed.
+    Randomness is split between a traffic rng and a channel rng. Only the
+    traffic is shared across policies under a seed: the channel rng is drawn
+    at each admission and each coherence period, for every live request, so
+    its draws follow the policy. In one 500-step episode at seed 0, the gains
+    `draw_link` returns under `mt` and `ml` first differ at its 6th call, the
+    unlicensed link's included (ROADMAP item 6).
     """
 
     def __init__(
@@ -135,7 +138,16 @@ class SchedulingEnv:
         return (self.R + 3) * self.L + self.R + 1
 
     def encode(self) -> np.ndarray:
-        """Flatten to the normalized float32 [q^1 .. q^L, v, psi]; empty slots are 0."""
+        """Flatten to the float32 state [q^1 .. q^L, v, psi].
+
+        Each feature's range:
+        - a request slot q^j: its service id, 1 to 3 and unscaled; its TTL
+          and remaining-bit ratios, in (0, 1]; its channel row, the bits per
+          RB over W·T·se_max, in [0, 1];
+        - an empty slot: R + 3 zeros;
+        - each continuity counter v/64 (`V_SCALE`), in [0, steps_per_episode/64];
+        - psi, the current RB over R, in (0, 1].
+        """
         out = []
         empty = [0.0] * (self.R + 3)
         for entry in self.buffer:
@@ -149,7 +161,7 @@ class SchedulingEnv:
             svc = entry.service
             out += (svc.id, entry.ttl / svc.max_latency, entry.remaining_bits / svc.pdu_bits)
             out += entry.scaled
-        out += [vk / V_SCALE_CAP for vk in self.v]
+        out += [vk / V_SCALE for vk in self.v]
         out.append((self.rl_step % self.R + 1) / self.R)
         return np.array(out, dtype=np.float32)
 
@@ -248,21 +260,17 @@ class SchedulingEnv:
             slot = self.buffer.index(None)
             accepted += 1
             svc = req.service
-            link = ch.draw_link(self.params, self.channel_rng)
+            gain, bits = ch.draw_link(self.params, self.channel_rng)
             self.buffer[slot] = BufferEntry(
-                service=svc,
-                ttl=svc.max_latency,
-                remaining_bits=svc.pdu_bits,
-                link=link,
-                deliverable=ch.link_deliverable_bits(link, self.params),
-            )
+                service=svc, ttl=svc.max_latency, remaining_bits=svc.pdu_bits,
+                gain=gain, deliverable=bits)
 
         if n % self.params.coherence_time == 0:
             live = [entry for entry in self.buffer if entry is not None]
             if live:
-                ch.redraw_small_scale([entry.link for entry in live], self.params,
-                                      self.channel_rng)
-                for entry in live:
-                    entry.deliverable = ch.link_deliverable_bits(entry.link, self.params)
+                redrawn = ch.redraw_small_scale([entry.gain for entry in live], self.params,
+                                                self.channel_rng)
+                for entry, bits in zip(live, redrawn):
+                    entry.deliverable = bits
 
         return resolved, accepted, dropped

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,6 +251,25 @@ def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: Experiment
             record(out)
 
 
+def _write_atomic(path: Path, write, mode: str = "w"):
+    """Write one artifact whole or not at all: `write(f)` fills a temp file
+    in the same directory, which then replaces `path`. So an artifact that
+    exists is complete even after a crash, an interrupt or a full disk."""
+    tmp = path.with_name(f".{path.stem}.tmp{path.suffix}")
+    try:
+        with open(tmp, mode) as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: str, rows):
+    lines = [f"{header}\n"] + [f"{a},{b!r}\n" for a, b in rows]
+    _write_atomic(path, lambda f: f.writelines(lines))
+
+
 def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Execute a full experiment: training set, then (optionally) the
     evaluation set with exploration pinned at its floor.
@@ -312,22 +332,17 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     })
 
     if out_path:
-        (out_path / "config_echo.txt").write_text(config_echo(config))
-        (out_path / "seed.txt").write_text(f"{config.seed}\n")
-        with open(out_path / "learning_curve.csv", "w") as f:
-            f.write("step,value\n")
-            for step, value in train_metrics.windowed_se(config.learning_window):
-                f.write(f"{step},{value!r}\n")
+        _write_atomic(out_path / "config_echo.txt", lambda f: f.write(config_echo(config)))
+        _write_atomic(out_path / "seed.txt", lambda f: f.write(f"{config.seed}\n"))
+        _write_csv(out_path / "learning_curve.csv", "step,value",
+                   train_metrics.windowed_se(config.learning_window))
         for svc_id in sorted(eval_metrics.latency):
-            with open(out_path / f"latency_type{svc_id}.csv", "w") as f:
-                f.write("latency,cdf\n")
-                for lat, frac in eval_metrics.latency_cdf(svc_id):
-                    f.write(f"{lat},{frac!r}\n")
-        with open(out_path / "summary.json", "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+            _write_csv(out_path / f"latency_type{svc_id}.csv", "latency,cdf",
+                       eval_metrics.latency_cdf(svc_id))
+        _write_atomic(out_path / "summary.json", lambda f: (
+            json.dump(summary, f, indent=2, sort_keys=True), f.write("\n")))
         if config.checkpoint and config.policy == "dqn" and not diverged:
-            policy.net.save(out_path / "qnetwork.npz")
+            _write_atomic(out_path / "qnetwork.npz", policy.net.save, "wb")
     if diverged:
         raise diverged
     return RunArtifacts(out_path, summary, train_metrics, eval_metrics)

@@ -47,8 +47,7 @@ class RunMetrics:
         self._redraw_unlicensed()
 
     def _redraw_unlicensed(self):
-        link = ch.draw_link(self.params, self.unlicensed_rng)
-        self.unlicensed_bits_per_rb = ch.link_deliverable_bits(link, self.params)
+        _, self.unlicensed_bits_per_rb = ch.draw_link(self.params, self.unlicensed_rng)
 
     @property
     def arrivals(self) -> int:

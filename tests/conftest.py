@@ -16,7 +16,7 @@ from rbshare.metrics import RunMetrics
 # the bits an action delivers: what `channel.link_deliverable_bits` (which
 # bisects) and the accounting are checked against. Then one fading draw at a
 # time and the network's layers out of place, for `channel.draw_link`,
-# `channel.redraw_small_scale` and `MLP.activations`.
+# `channel._fading_draws`, `channel.redraw_small_scale` and `MLP.activations`.
 
 
 def sinr(params: ChannelParams, h_k: complex) -> float:
@@ -63,6 +63,19 @@ def sample_small_scale(params: ChannelParams, rng: np.random.Generator) -> np.nd
     return ch._sqrt_correlation(params.corr_param, r) @ z
 
 
+def sample_link(params: ChannelParams, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """One link drawn a step at a time: its large-scale gain from
+    `sample_large_scale`, then its fading row from `sample_small_scale`."""
+    return ch.sample_large_scale(params, rng)[1], sample_small_scale(params, rng)
+
+
+def reference_link_bits(params: ChannelParams, rng: np.random.Generator) -> list[int]:
+    """The per-RB bits of one `sample_link` draw, through the scalar chain."""
+    gain, h = sample_link(params, rng)
+    return [deliverable_bits(sinr_to_cqi(sinr(params, hk)), params)
+            for hk in math.sqrt(gain) * h]
+
+
 def forward_chain(net, x) -> list[np.ndarray]:
     """The input and every layer's output of `net`, each layer computed out
     of place as `np.maximum(a @ w + b, 0)` (the last without the ReLU): what
@@ -94,12 +107,12 @@ def env_metrics(env, link_seed=0) -> RunMetrics:
 def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):
     """Inject a live request into a buffer slot with a fixed per-RB bit budget."""
     svc = next(s for s in env.catalog if s.id == type_id)
-    link = ch.draw_link(env.params, env.channel_rng)
+    gain, _ = ch.draw_link(env.params, env.channel_rng)
     entry = BufferEntry(
         service=svc,
         ttl=svc.max_latency if ttl is None else ttl,
         remaining_bits=svc.pdu_bits if remaining is None else remaining,
-        link=link,
+        gain=gain,
         deliverable=(bits_per_rb,) * env.R,
     )
     env.buffer[slot] = entry

@@ -1,5 +1,9 @@
 import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,3 +457,59 @@ class TestCheckpoint:
         assert loaded.dtype == dtype
         for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
             assert b.dtype == dtype and b.tobytes() == a.tobytes()
+
+
+# A default-size DQN trained in a fresh process, BLAS on one thread: minor
+# page faults per training step once the warm-up is over. The 2 MB float64
+# temporaries of the weight init are freed at once, which raises glibc's
+# mmap threshold, so each step's 1 MB gradient buffers come from the heap
+# rather than from fresh zeroed pages: under one fault per step. An init
+# without such temporaries (the same weights drawn in blocks of 32 rows) made
+# it ~630 faults per step, and `dqn-train` ~1.5x slower. glibc and
+# `ru_minflt` make this Linux only.
+FAULT_PROBE = """
+import resource
+import sys
+
+import numpy as np
+
+sys.path.insert(0, sys.argv[1])
+from conftest import make_env
+from rbshare.agent import AgentConfig, DQNPolicy
+
+env = make_env()
+env.reset()
+config = AgentConfig()
+policy = DQNPolicy(env.state_dim(), env.L + 1, config,
+                   np.random.default_rng(0), np.random.default_rng(1))
+
+
+def steps(n):
+    for _ in range(n):
+        action = policy.act(env)
+        out = env.step(action)
+        policy.observe(env, action, out.reward, out.terminal)
+        if out.terminal:
+            env.reset()
+
+
+steps(config.min_observations + 50)
+trained = policy.train_steps
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps(300)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / (policy.train_steps - trained))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc, ru_minflt")
+def test_training_step_page_faults():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(tests)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert float(proc.stdout) < 50

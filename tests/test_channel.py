@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cqi_to_se, deliverable_bits, sample_small_scale, sinr, sinr_to_cqi
+from conftest import cqi_to_se, deliverable_bits, sample_link, sample_small_scale, sinr, \
+    sinr_to_cqi
 from rbshare import channel as ch
 
 
@@ -165,11 +166,15 @@ class TestCqiMapping:
 
 
 def test_link_constant_within_coherence_period():
+    """Until its fading is redrawn, a link's bits are what `draw_link`
+    returned: they depend on its gain and fading row alone."""
     p = params()
-    link = ch.draw_link(p, np.random.default_rng(8))
-    first = ch.link_deliverable_bits(link, p)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    gain, bits = ch.draw_link(p, rng)
+    twin_gain, h = sample_link(p, twin)
+    assert twin_gain == gain
     for _ in range(5):
-        assert np.array_equal(ch.link_deliverable_bits(link, p), first)
+        assert ch.link_deliverable_bits(gain, h, p) == bits
 
 
 @pytest.mark.parametrize("num_rbs", [1, 6, 25])
@@ -178,11 +183,11 @@ def test_link_deliverable_bits_matches_scalar_rules(corr_param, num_rbs):
     """The per-link bit vector equals the scalar SINR -> CQI -> bits chain
     applied RB by RB, exactly: next to the antenna, at the cell edge, and far
     beyond it, where every CQI from 0 to 15 occurs."""
-    rng = np.random.default_rng(9)
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
     for dist_min, dist_max in ((10.0, 10.5), (99.5, 100.0), (400.0, 900.0)):
         p = params(corr_param=corr_param, num_rbs=num_rbs,
                    dist_min=dist_min, dist_max=dist_max)
-        links = [ch.draw_link(p, rng) for _ in range(700)]
+        links = [(*sample_link(p, twin), ch.draw_link(p, rng)[1]) for _ in range(700)]
         check_against_scalar_rules(links, p)
 
     # Links whose per-RB SINR lands within a few ulps of each CQI threshold
@@ -200,8 +205,8 @@ def test_link_deliverable_bits_matches_scalar_rules(corr_param, num_rbs):
     # Both pick CQI 15 for an infinite or a NaN capacity.
     near += [0.0, math.inf, math.nan]
     near += [0.0] * (-len(near) % num_rbs)
-    links = [ch.LinkState(large_scale=1.0, small_scale=np.array(near[i:i + num_rbs], complex))
-             for i in range(0, len(near), num_rbs)]
+    rows = [np.array(near[i:i + num_rbs], complex) for i in range(0, len(near), num_rbs)]
+    links = [(1.0, h, ch.link_deliverable_bits(1.0, h, p)) for h in rows]
     with np.errstate(invalid="ignore"):  # inf * 1.0 as a complex product
         cqis = check_against_scalar_rules(links, p)
     for cqi in range(1, 16):  # every threshold is crossed within the ulps tried
@@ -209,15 +214,15 @@ def test_link_deliverable_bits_matches_scalar_rules(corr_param, num_rbs):
 
 
 def check_against_scalar_rules(links, p) -> set:
-    """Asserts each link's bit vector is the scalar chain's; returns the CQIs
-    the scalar chain met."""
+    """Asserts the bits of each (gain, fading row, bits) link are the scalar
+    chain's on that gain and row; returns the CQIs the scalar chain met."""
     cqis = set()
-    for link in links:
-        h = math.sqrt(link.large_scale) * link.small_scale
+    for gain, h_row, bits in links:
+        h = math.sqrt(gain) * h_row
         cqi = [sinr_to_cqi(sinr(p, hk)) for hk in h]
         cqis.update(cqi)
         expected = [deliverable_bits(c, p) for c in cqi]
-        assert list(ch.link_deliverable_bits(link, p)) == expected
+        assert list(bits) == expected
     return cqis
 
 
@@ -243,35 +248,54 @@ def test_sample_small_scale_matches_reference_bytes(corr_param, num_rbs):
 @pytest.mark.parametrize("num_rbs", [1, 6, 25])
 @pytest.mark.parametrize("corr_param", [0.0, 0.001, 0.5, 1.0])
 def test_draw_link_matches_sequential_draws(corr_param, num_rbs):
-    """A link's placement and its fading are, byte for byte, one
-    `sample_large_scale` and then one `sample_small_scale`, and use as much
-    of the stream."""
+    """A link is drawn as one `sample_large_scale` and then one
+    `sample_small_scale`, and uses as much of the stream: its gain is the
+    first's, and its bits are those of that gain and the second's row."""
     p = params(corr_param=corr_param, num_rbs=num_rbs)
     rng, twin = np.random.default_rng(19), np.random.default_rng(19)
     for _ in range(200):
-        link = ch.draw_link(p, rng)
-        assert link.large_scale == ch.sample_large_scale(p, twin)[1]
-        want = sample_small_scale(p, twin)
-        assert link.small_scale.dtype == want.dtype and link.small_scale.shape == (num_rbs,)
-        assert link.small_scale.tobytes() == want.tobytes()
+        gain, bits = ch.draw_link(p, rng)
+        want_gain, want_h = sample_link(p, twin)
+        assert gain == want_gain
+        assert len(bits) == num_rbs and all(type(b) is int for b in bits)
+        assert bits == ch.link_deliverable_bits(want_gain, want_h, p)
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("num_rbs", [1, 6, 25])
 @pytest.mark.parametrize("corr_param", [0.0, 0.001, 0.5, 1.0])
 @pytest.mark.parametrize("n", [1, 3, 10])
-def test_redraw_small_scale_matches_sequential_draws(n, corr_param, num_rbs):
-    """One redraw of n links gives each link, byte for byte, what n
-    `sample_small_scale` calls in list order give, and uses as much of the
-    stream."""
+def test_fading_draws_match_sequential_draws(n, corr_param, num_rbs):
+    """One draw of n fading rows gives, byte for byte, what n
+    `sample_small_scale` calls give in order, and uses as much of the
+    stream: the rows `draw_link` (n = 1) and `redraw_small_scale` turn
+    into bits."""
     p = params(corr_param=corr_param, num_rbs=num_rbs)
     rng, twin = np.random.default_rng(10), np.random.default_rng(10)
-    links = [ch.LinkState(large_scale=1.0, small_scale=np.zeros(num_rbs, complex))
-             for _ in range(n)]
-    for _ in range(3):
-        ch.redraw_small_scale(links, p, rng)
-        for link in links:
+    for _ in range(200 // n):
+        rows = ch._fading_draws(n, p, rng)
+        assert len(rows) == n
+        for row in rows:
             want = sample_small_scale(p, twin)
-            assert link.small_scale.dtype == want.dtype
-            assert link.small_scale.tobytes() == want.tobytes()
+            assert row.dtype == want.dtype and row.shape == (num_rbs,)
+            assert row.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("num_rbs", [1, 6, 25])
+@pytest.mark.parametrize("corr_param", [0.0, 0.001, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_redraw_small_scale_matches_sequential_draws(n, corr_param, num_rbs):
+    """One redraw of n links gives each link, in order, the bits of its own
+    gain and of what n `sample_small_scale` calls in order give, and uses as
+    much of the stream."""
+    p = params(corr_param=corr_param, num_rbs=num_rbs)
+    rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+    placement = np.random.default_rng(11)
+    gains = [ch.sample_large_scale(p, placement)[1] for _ in range(n)]
+    for _ in range(3):
+        redrawn = ch.redraw_small_scale(gains, p, rng)
+        assert len(redrawn) == n
+        for gain, bits in zip(gains, redrawn):
+            assert bits == ch.link_deliverable_bits(gain, sample_small_scale(p, twin), p)
         assert rng.bit_generator.state == twin.bit_generator.state

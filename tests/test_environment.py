@@ -10,7 +10,7 @@ from conftest import GridRecorder, Ledger, env_metrics, make_env, put_entry
 from test_agent import randomize_buffer
 from rbshare import traffic as tr
 from rbshare.agent import mt_action, random_policy
-from rbshare.environment import V_SCALE_CAP, aggregate_reward
+from rbshare.environment import V_SCALE, aggregate_reward
 
 
 def brute_force_continuity(mask_grid, num_rbs):
@@ -36,7 +36,7 @@ def reference_encode(env) -> np.ndarray:
             out += [svc.id, entry.ttl / svc.max_latency, entry.remaining_bits / svc.pdu_bits]
             out += [bits / se_bits for bits in entry.deliverable]
     psi = env.rl_step % env.R + 1
-    out += [vk / V_SCALE_CAP for vk in env.v] + [psi / env.R]
+    out += [vk / V_SCALE for vk in env.v] + [psi / env.R]
     return np.array(out, dtype=np.float64).astype(np.float32)
 
 
@@ -113,7 +113,7 @@ class TestStateEncoding:
         env.v[:] = [2, 0, 0, 0, 0, 0]
         env.rl_step = 2  # psi = 3
         state = env.encode()
-        assert list(state[90:96]) == [2 / V_SCALE_CAP, 0, 0, 0, 0, 0]
+        assert list(state[90:96]) == [2 / V_SCALE, 0, 0, 0, 0, 0]
         assert state[96] == 3 / env.R
 
     def test_psi_mutation_changes_one_coordinate(self, env):

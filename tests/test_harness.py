@@ -259,6 +259,28 @@ class TestRun:
         harness.run(cfg, out_dir=tmp_path)
         assert (tmp_path / "qnetwork.npz").exists()
 
+    # Each artifact is written to a temp file and then moved into place, so
+    # a write that fails part-way leaves the artifact of the run before whole,
+    # and no temp file behind.
+    def test_failed_write_keeps_previous_summary(self, tmp_path, monkeypatch):
+        harness.run(tiny_config(seed=1), out_dir=tmp_path)
+        before = (tmp_path / "summary.json").read_bytes()
+        names = sorted(p.name for p in tmp_path.iterdir())
+
+        def failing_dump(obj, f, **kw):
+            f.write(json.dumps(obj, **kw)[:40])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="no space"):
+            harness.run(tiny_config(seed=2), out_dir=tmp_path)
+        assert (tmp_path / "summary.json").read_bytes() == before
+        # The second run writes its CSVs whole; it may add a latency CSV.
+        after = sorted(p.name for p in tmp_path.iterdir())
+        assert set(names) <= set(after)
+        assert all(re.fullmatch(r"latency_type\d+\.csv", name)
+                   for name in set(after) - set(names))
+
     # A config changed after construction is checked like a file, before the
     # run writes anything: `minibatch = 0` used to train on empty minibatches,
     # and `min_observations = 10` to stop midway when sampling a minibatch.

@@ -1,19 +1,26 @@
 """Property tests: over random scenarios and policies, the accounting that
 `RunMetrics` builds from `SchedulingEnv.step` closes against recounts made
-apart from it; over random chains of transitions, the replay memory samples
-what a ring of separate state and next-state arrays would."""
+apart from it, every encoded state stays in its stated ranges, and a seed
+gives the same artifacts twice; over random chains of transitions, the
+replay memory samples what a ring of separate state and next-state arrays
+would."""
 
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GridRecorder, Ledger, TwoArrayReplay, env_metrics, make_env
-from rbshare import channel as ch
+from conftest import GridRecorder, Ledger, TwoArrayReplay, env_metrics, make_env, \
+    reference_link_bits
+from test_golden import fingerprint
+from rbshare import harness
 from rbshare import traffic as tr
-from rbshare.agent import MLP, CallablePolicy, ReplayMemory, dqn_targets, fixed_split, \
-    ml_action, mt_action, random_policy
+from rbshare.agent import MLP, AgentConfig, CallablePolicy, DQNPolicy, ReplayMemory, \
+    dqn_targets, fixed_split, ml_action, mt_action, random_policy
+from rbshare.channel import ChannelParams
 
 
 @st.composite
@@ -96,8 +103,7 @@ def test_accounting_closes(s):
         if n % s["steps"] == 0:
             v = np.zeros(env.R, dtype=np.int64)
         if n % s["coherence_time"] == 0:
-            link_bits = np.asarray(ch.link_deliverable_bits(ch.draw_link(env.params, twin),
-                                                            env.params))
+            link_bits = np.asarray(reference_link_bits(env.params, twin))
         v = np.where(mask, 0, v + 1)
         free = v >= env.C
         rb_steps += int(free.sum())
@@ -105,6 +111,73 @@ def test_accounting_closes(s):
     assert len(rec.mask_grid) == time_steps
     assert m.unlicensed_rb_steps == rb_steps
     assert m.unlicensed_bits == bits
+
+
+@st.composite
+def small_configs(draw) -> harness.ExperimentConfig:
+    """A short run of any policy, with a small DQN that trains from its 32nd
+    RL step."""
+    num_rbs = draw(st.integers(1, 6))
+    return harness.ExperimentConfig(
+        policy=draw(st.sampled_from(harness.POLICIES)),
+        channel=ChannelParams(num_rbs=num_rbs, coherence_time=draw(st.integers(1, 13))),
+        buffer_len=draw(st.integers(1, 8)),
+        rate=draw(st.sampled_from(tr.RATE_PROFILES)),
+        licensed_rbs=draw(st.integers(1, num_rbs)),
+        episodes=draw(st.integers(1, 2)),
+        # Short episodes, and ones long enough for a learning-curve row.
+        steps_per_episode=draw(st.one_of(st.integers(1, 10), st.integers(100, 160))),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        checkpoint=True, learning_window=50,
+        agent=AgentConfig(hidden=(16,), min_observations=32, replay_capacity=1000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configs())
+def test_encoded_state_in_stated_ranges(cfg):
+    """At every RL step, each feature of `encode` is in the range its
+    docstring states, under every policy."""
+    env = make_env(buffer_len=cfg.buffer_len, steps=cfg.steps_per_episode, rate=cfg.rate,
+                   seed=cfg.seed, num_rbs=cfg.channel.num_rbs,
+                   coherence_time=cfg.channel.coherence_time)
+    rngs = [np.random.default_rng(cfg.seed + i) for i in range(3)]
+    policy = harness.make_policy(cfg, env.state_dim(), *rngs)
+    observe = policy.observe if isinstance(policy, DQNPolicy) else None
+    R, width = env.R, env.R + 3
+    v_max = np.float32(cfg.steps_per_episode / 64)
+    for _ in range(cfg.episodes):
+        env.reset()
+        while not env.done:
+            state = env.encode()
+            assert state.shape == (env.state_dim(),) and state.dtype == np.float32
+            for j, entry in enumerate(env.buffer):
+                q = state[j * width:(j + 1) * width]
+                if entry is None:
+                    assert not q.any()
+                    continue
+                assert q[0] in (1, 2, 3) and q[0] == entry.service.id
+                assert 0 < q[1] <= 1 and 0 < q[2] <= 1
+                assert ((0 <= q[3:]) & (q[3:] <= 1)).all()
+            v = state[env.L * width:env.L * width + R]
+            assert ((0 <= v) & (v <= v_max)).all()
+            assert 0 < state[-1] <= 1
+            action = policy.act(env)
+            out = env.step(action)
+            if observe is not None:
+                observe(env, action, out.reward, out.terminal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_seed_determines_artifacts(cfg):
+    """Two runs of one config write artifacts with equal fingerprints."""
+    prints = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("a", "b"):
+            harness.run(cfg, out_dir=Path(tmp) / name)
+            prints.append(fingerprint(Path(tmp) / name))
+    assert "summary.json" in prints[0]
+    assert prints[0] == prints[1]
 
 
 @settings(max_examples=200, deadline=None)
