@@ -51,6 +51,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print(f"error: {str(exc) or 'interrupted'}", file=sys.stderr)
+        return 130
     return 0
 
 

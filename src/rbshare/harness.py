@@ -1,5 +1,6 @@
-"""Experiment orchestration: configuration parsing, the train/evaluate
-two-set protocol, seeding, and artifact emission.
+"""Experiment orchestration: configuration parsing, seeding, and the `Run`
+that plays the training and evaluation sets episode by episode and records
+its artifacts however it ends.
 
 Config files are flat `section.key = value` text. Every stochastic draw
 derives from the single master seed through named substreams, so identical
@@ -8,10 +9,13 @@ config + seed reproduces a run bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
 import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -216,11 +220,16 @@ def config_echo(config: ExperimentConfig) -> str:
 
 
 @dataclass
-class RunArtifacts:
-    out_dir: Path | None
-    summary: dict
+class Run:
+    """One run's state, played set by set and episode by episode by `run`."""
+    config: ExperimentConfig
+    env: SchedulingEnv
+    policy: object
     train_metrics: RunMetrics
-    eval_metrics: RunMetrics
+    eval_metrics: RunMetrics    # the set reported: the one running, or the last one played
+    out_dir: Path | None
+    status: str = "ok"          # "diverged" or "interrupted" if the run stops early
+    summary: dict = field(default_factory=dict)
 
 
 def make_policy(config: ExperimentConfig, state_dim: int,
@@ -233,22 +242,6 @@ def make_policy(config: ExperimentConfig, state_dim: int,
         return random_policy(policy_rng)
     greedy = CallablePolicy(mt_action if name.startswith("mt") else ml_action)
     return fixed_split(greedy, config.licensed_rbs) if name.endswith("+f") else greedy
-
-
-def _run_set(env: SchedulingEnv, policy, metrics: RunMetrics, config: ExperimentConfig):
-    # Bound once per set. `env.reset` is looked up at every episode, so a
-    # patched class method (the benchmark's first-step hook) still applies.
-    act, step, record = policy.act, env.step, metrics.record
-    observe = policy.observe if isinstance(policy, DQNPolicy) else None
-    rl_steps = config.steps_per_episode * env.R
-    for _ in range(config.episodes):
-        env.reset()
-        for _ in range(rl_steps):
-            action = act(env)
-            out = step(action)
-            if observe is not None:
-                observe(env, action, out.reward, out.terminal)
-            record(out)
 
 
 def _write_atomic(path: Path, write, mode: str = "w"):
@@ -270,13 +263,85 @@ def _write_csv(path: Path, header: str, rows):
     _write_atomic(path, lambda f: f.writelines(lines))
 
 
-def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
+def _record(run: Run):
+    """Summarise `run` from its reported set and its status, and write its
+    artifacts; only an "ok" run writes its checkpoint."""
+    config, metrics, out_path = run.config, run.eval_metrics, run.out_dir
+    run.summary = {
+        **metrics.summary(),
+        "status": run.status,
+        "policy": config.policy,
+        "seed": config.seed,
+        "num_rbs": config.channel.num_rbs,
+        "buffer_len": config.buffer_len,
+        "continuity_len": config.continuity_len,
+        "rate": config.rate,
+        "alpha": config.alpha,
+        "beta": config.beta,
+        "delta": "inf" if math.isinf(config.delta) else config.delta,
+        "licensed_rbs": config.licensed_rbs if config.policy.endswith("+f") else None,
+    }
+    if not out_path:
+        return
+    _write_atomic(out_path / "config_echo.txt", lambda f: f.write(config_echo(config)))
+    _write_atomic(out_path / "seed.txt", lambda f: f.write(f"{config.seed}\n"))
+    _write_csv(out_path / "learning_curve.csv", "step,value",
+               run.train_metrics.windowed_se(config.learning_window))
+    for svc_id in sorted(metrics.latency):
+        _write_csv(out_path / f"latency_type{svc_id}.csv", "latency,cdf",
+                   metrics.latency_cdf(svc_id))
+    _write_atomic(out_path / "summary.json", lambda f: (
+        json.dump(run.summary, f, indent=2, sort_keys=True), f.write("\n")))
+    checkpoint = config.checkpoint and config.policy == "dqn" and run.status == "ok"
+    if checkpoint:
+        _write_atomic(out_path / "qnetwork.npz", run.policy.net.save, "wb")
+    # An earlier run into this directory may have left files this one did not write.
+    kept = {f"latency_type{svc_id}.csv" for svc_id in metrics.latency} | \
+        ({"qnetwork.npz"} if checkpoint else set())
+    for path in [*out_path.glob("latency_type*.csv"), out_path / "qnetwork.npz"]:
+        if path.name not in kept:
+            path.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _deferred_signals():
+    """Defer SIGINT and SIGTERM to the caller, which polls the list of signals
+    this yields. A second signal puts the previous handlers back and goes to
+    them at once. Off the main thread no handler can be set, so none is. A
+    signal that is ignored, or whose handler was set outside Python
+    (`getsignal` gives None), is left as it is."""
+    caught, previous = [], {}
+    if threading.current_thread() is threading.main_thread():
+        previous = {signum: handler for signum in (signal.SIGINT, signal.SIGTERM)
+                    if (handler := signal.getsignal(signum)) not in (None, signal.SIG_IGN)}
+
+    def restore():
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+    def defer(signum, frame):
+        caught.append(signum)
+        if len(caught) > 1:
+            restore()
+            signal.raise_signal(signum)
+
+    for signum in previous:
+        signal.signal(signum, defer)
+    try:
+        yield caught
+    finally:
+        restore()
+
+
+def run(config: ExperimentConfig, out_dir=None) -> Run:
     """Execute a full experiment: training set, then (optionally) the
     evaluation set with exploration pinned at its floor.
 
-    If training diverges, the artifacts of the set that was running are
-    written all the same, with `"status": "diverged"` and no checkpoint, and
-    `TrainingDiverged` is raised again."""
+    A run that stops early writes the artifacts of the set that was running
+    all the same, with no checkpoint. If training diverges, the record has
+    `"status": "diverged"` and `TrainingDiverged` is raised again. SIGINT or
+    SIGTERM stops the run at the next episode boundary, with
+    `"status": "interrupted"`, and raises `KeyboardInterrupt`."""
     config.validate()
     out_path = None if out_dir is None else Path(out_dir)
     if out_path:    # made first, so a bad directory fails before the run
@@ -300,52 +365,41 @@ def run(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
                          np.random.default_rng(init_ss),
                          np.random.default_rng(explore_ss),
                          np.random.default_rng(policy_ss))
-
-    train_metrics = RunMetrics(config.channel, config.continuity_len,
-                               np.random.default_rng(unlic_train_ss))
-    eval_metrics = train_metrics    # the set that runs, then the one reported
-    diverged = None
-    try:
-        _run_set(env, policy, train_metrics, config)
-        if config.eval_set and config.policy == "dqn":
-            eval_metrics = RunMetrics(config.channel, config.continuity_len,
-                                      np.random.default_rng(unlic_eval_ss))
-            policy.eps_override = config.agent.eps_inf
-            policy.frozen = config.freeze_eval
-            _run_set(env, policy, eval_metrics, config)
-    except TrainingDiverged as exc:
-        diverged = exc
-
-    summary = eval_metrics.summary()
-    summary.update({
-        "status": "diverged" if diverged else "ok",
-        "policy": config.policy,
-        "seed": config.seed,
-        "num_rbs": config.channel.num_rbs,
-        "buffer_len": config.buffer_len,
-        "continuity_len": config.continuity_len,
-        "rate": config.rate,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "delta": "inf" if math.isinf(config.delta) else config.delta,
-        "licensed_rbs": config.licensed_rbs if config.policy.endswith("+f") else None,
-    })
-
-    if out_path:
-        _write_atomic(out_path / "config_echo.txt", lambda f: f.write(config_echo(config)))
-        _write_atomic(out_path / "seed.txt", lambda f: f.write(f"{config.seed}\n"))
-        _write_csv(out_path / "learning_curve.csv", "step,value",
-                   train_metrics.windowed_se(config.learning_window))
-        for svc_id in sorted(eval_metrics.latency):
-            _write_csv(out_path / f"latency_type{svc_id}.csv", "latency,cdf",
-                       eval_metrics.latency_cdf(svc_id))
-        _write_atomic(out_path / "summary.json", lambda f: (
-            json.dump(summary, f, indent=2, sort_keys=True), f.write("\n")))
-        if config.checkpoint and config.policy == "dqn" and not diverged:
-            _write_atomic(out_path / "qnetwork.npz", policy.net.save, "wb")
-    if diverged:
-        raise diverged
-    return RunArtifacts(out_path, summary, train_metrics, eval_metrics)
+    n_sets = 2 if config.eval_set and config.policy == "dqn" else 1
+    sets = [RunMetrics(config.channel, config.continuity_len, np.random.default_rng(s))
+            for s in (unlic_train_ss, unlic_eval_ss)[:n_sets]]
+    run = Run(config, env, policy, sets[0], sets[0], out_path)
+    rl_steps = config.steps_per_episode * env.R
+    with _deferred_signals() as caught:
+        try:
+            for metrics in sets:
+                if metrics is not run.train_metrics:
+                    policy.eps_override = config.agent.eps_inf
+                    policy.frozen = config.freeze_eval
+                run.eval_metrics = metrics
+                # Bound once per set. `env.reset` is looked up at every episode, so
+                # a patched class method (the benchmark's first-step hook) applies.
+                act, step, record = policy.act, env.step, metrics.record
+                observe = policy.observe if isinstance(policy, DQNPolicy) else None
+                for _ in range(config.episodes):
+                    env.reset()
+                    for _ in range(rl_steps):
+                        action = act(env)
+                        out = step(action)
+                        if observe is not None:
+                            observe(env, action, out.reward, out.terminal)
+                        record(out)
+                    if caught:      # the episode boundary
+                        run.status = "interrupted"
+                        raise KeyboardInterrupt("run interrupted at an episode boundary")
+        except TrainingDiverged:
+            run.status = "diverged"
+            raise
+        finally:
+            if run.status != "ok":
+                _record(run)
+    _record(run)
+    return run
 
 
 _SCENARIO_KEYS = ("num_rbs", "buffer_len", "continuity_len", "rate")
@@ -368,8 +422,10 @@ def _read_summary(artifact_dir) -> dict:
     if not isinstance(summary, dict) or not summary.keys() >= _SUMMARY_TYPES.keys():
         raise ConfigError(f"{path}: not a run summary "
                           f"(needs the keys {', '.join(_SUMMARY_TYPES)})")
-    if summary.get("status") == "diverged":
-        raise ConfigError(f"{path}: the run diverged, so it has no result to compare")
+    status = summary.get("status", "ok")    # a summary older than the key is "ok"
+    if status != "ok":
+        ended = "diverged" if status == "diverged" else f"was {status}"
+        raise ConfigError(f"{path}: the run {ended}, so it has no result to compare")
     for key, kind in _SUMMARY_TYPES.items():
         if not isinstance(summary[key], kind):
             raise ConfigError(f"{path}: {key}: wrong type, got {summary[key]!r}")

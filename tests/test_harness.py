@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import signal
+import threading
 import warnings
 from pathlib import Path
 
@@ -259,6 +262,36 @@ class TestRun:
         harness.run(cfg, out_dir=tmp_path)
         assert (tmp_path / "qnetwork.npz").exists()
 
+    # A rerun into a directory removes the earlier run's checkpoint and
+    # latency CSVs that it does not write itself.
+    def test_rerun_clears_earlier_artifacts(self, tmp_path):
+        cfg = tiny_config(policy="dqn", checkpoint=True)
+        cfg.episodes, cfg.steps_per_episode = 1, 60
+        harness.run(cfg, out_dir=tmp_path / "out")
+        assert (tmp_path / "out" / "qnetwork.npz").exists()
+        for d in ("out", "fresh"):
+            harness.run(tiny_config(), out_dir=tmp_path / d)
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            sorted(p.name for p in (tmp_path / "fresh").iterdir())
+
+    # The DQN plays both sets, each of the full length, and learns in both.
+    def test_run_holds_both_dqn_sets(self):
+        cfg = tiny_config(policy="dqn")
+        cfg.eval_set = True
+        run = harness.run(cfg)
+        assert run.train_metrics is not run.eval_metrics and run.status == "ok"
+        for metrics in (run.train_metrics, run.eval_metrics):
+            assert metrics.time_steps == cfg.episodes * cfg.steps_per_episode
+        assert run.policy.memory.pushed == \
+            2 * cfg.episodes * cfg.steps_per_episode * cfg.channel.num_rbs
+
+    @pytest.mark.parametrize("policy", [p for p in harness.POLICIES if p != "dqn"])
+    def test_baseline_plays_one_set(self, policy):
+        cfg = tiny_config(policy=policy)
+        cfg.eval_set = True
+        run = harness.run(cfg)
+        assert run.train_metrics is run.eval_metrics and run.status == "ok"
+
     # Each artifact is written to a temp file and then moved into place, so
     # a write that fails part-way leaves the artifact of the run before whole,
     # and no temp file behind.
@@ -395,6 +428,142 @@ class TestEncodeOnDemand:
         fresh[-1] = 1 / cfg.channel.num_rbs
         for first in [0, *(ends[:-1] + 1)]:
             assert np.array_equal(mem.states[first], fresh)
+
+
+def signal_at(monkeypatch, *calls, signum=signal.SIGINT):
+    """Make `SchedulingEnv.step` send `signum` to this process at each of
+    `calls` (counted from 1); returns the list of steps taken."""
+    step, taken = SchedulingEnv.step, []
+
+    def signalling_step(env, action):
+        taken.append(action)
+        if len(taken) in calls:
+            os.kill(os.getpid(), signum)
+        return step(env, action)
+
+    monkeypatch.setattr(SchedulingEnv, "step", signalling_step)
+    return taken
+
+
+def handlers():
+    return [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+
+
+class TestInterrupt:
+    RL_STEPS = 40 * 6    # per episode of `tiny_config`
+
+    # The signal comes in episode 2 of 3, so the record is that of a
+    # 2-episode run: each reset draws the same traffic and channel whatever
+    # the episode count.
+    def test_interrupted_run_leaves_its_record(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, "run.policy = mt\nrun.episodes = 3\n"
+                                     "run.steps_per_episode = 40\n")
+        out, done = tmp_path / "out", tmp_path / "done"
+        signal_at(monkeypatch, self.RL_STEPS + 50)
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 130
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == "error: run interrupted at an episode boundary\n"
+        monkeypatch.undo()
+        assert cli.main(["run", str(cfg), "--episodes", "2", "--out", str(done)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "interrupted"
+        assert summary == {**json.loads((done / "summary.json").read_text()),
+                           "status": "interrupted"}
+        csvs = sorted(p.name for p in done.glob("*.csv"))
+        assert sorted(p.name for p in out.glob("*.csv")) == csvs
+        for name in csvs:
+            assert (out / name).read_bytes() == (done / name).read_bytes()
+        capsys.readouterr()
+        assert cli.main(["compare", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out / 'summary.json'}: the run was " \
+                                          "interrupted, so it has no result to compare\n"
+
+    # The handlers in place before a run are back after it, however it ends.
+    # The test's own SIGTERM handler raises `KeyboardInterrupt`, so a
+    # SIGTERM that the run failed to defer would not end the test process.
+    @pytest.mark.parametrize("end", ["ok", "diverged", "SIGINT", "SIGTERM"])
+    def test_handlers_restored(self, tmp_path, monkeypatch, end):
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            before = handlers()
+            cfg = tiny_config(policy="dqn" if end == "diverged" else "mt")
+            if end == "diverged":
+                cfg.agent.learning_rate = 1e6
+                cfg.episodes = 1
+                with pytest.raises(TrainingDiverged), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    harness.run(cfg, out_dir=tmp_path)
+            elif end == "ok":
+                assert harness.run(cfg, out_dir=tmp_path).status == "ok"
+            else:
+                signal_at(monkeypatch, 10, signum=getattr(signal, end))
+                with pytest.raises(KeyboardInterrupt, match="episode boundary"):
+                    harness.run(cfg, out_dir=tmp_path)
+            assert handlers() == before
+            status = json.loads((tmp_path / "summary.json").read_text())["status"]
+            assert status == ("interrupted" if end.startswith("SIG") else end)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    # A DQN run that stops in its training set records that set, as the same
+    # run with no evaluation set does, not the evaluation set, which has not
+    # played.
+    @pytest.mark.parametrize("end", ["diverged", "interrupted"])
+    def test_stopped_training_set_leaves_its_record(self, tmp_path, monkeypatch, end):
+        for eval_set in (False, True):
+            cfg = tiny_config(policy="dqn")
+            cfg.eval_set = eval_set
+            if end == "diverged":    # in episode 1, once training starts
+                cfg.agent.learning_rate, cfg.agent.min_observations = 1e6, 200
+            else:
+                signal_at(monkeypatch, self.RL_STEPS + 50)
+            with pytest.raises(TrainingDiverged if end == "diverged" else KeyboardInterrupt), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                harness.run(cfg, out_dir=tmp_path / str(eval_set))
+            monkeypatch.undo()
+        alone, first = tmp_path / "False", tmp_path / "True"
+        summary = json.loads((first / "summary.json").read_text())
+        assert summary["status"] == end and summary["time_steps"] > 0
+        assert summary == json.loads((alone / "summary.json").read_text())
+        csvs = sorted(p.name for p in alone.glob("*.csv"))
+        assert "latency_type1.csv" in csvs
+        assert sorted(p.name for p in first.glob("*.csv")) == csvs
+        for name in csvs:
+            assert (first / name).read_bytes() == (alone / name).read_bytes()
+
+    # An ignored signal stays ignored: the run plays to its end.
+    def test_ignored_signal_stays_ignored(self, tmp_path, monkeypatch):
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            signal_at(monkeypatch, 10)
+            try:
+                run = harness.run(tiny_config(), out_dir=tmp_path)
+            except KeyboardInterrupt:
+                pytest.fail("the ignored SIGINT stopped the run")
+            assert run.status == "ok" and run.train_metrics.time_steps == 2 * 40
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, previous)
+
+    # A second signal before the boundary goes to the previous handler at
+    # once (a `KeyboardInterrupt` mid-episode) and writes no record.
+    def test_second_signal_stops_at_once(self, tmp_path, monkeypatch):
+        before, taken = handlers(), signal_at(monkeypatch, 10, 20)
+        with pytest.raises(KeyboardInterrupt, match="^$"):
+            harness.run(tiny_config(), out_dir=tmp_path)
+        assert 20 <= len(taken) < self.RL_STEPS
+        assert list(tmp_path.iterdir()) == []
+        assert handlers() == before
+
+    # No handler can be set off the main thread, so the run sets none.
+    def test_run_off_main_thread(self):
+        runs = []
+        thread = threading.Thread(target=lambda: runs.append(harness.run(tiny_config())))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [run.status for run in runs] == ["ok"]
 
 
 class TestCompare:
