@@ -116,8 +116,8 @@ class MLP:
     def load(cls, path) -> "MLP":
         """Rebuilds the net in the dtype of its stored arrays."""
         with np.load(path) as data:
-            if int(data["format_version"][0]) != 1:
-                raise ValueError("unsupported checkpoint version")
+            if (version := int(data["format_version"][0])) != 1:
+                raise ValueError(f"{path}: unsupported checkpoint version {version}")
             sizes = [int(s) for s in data["layer_sizes"]]
             net = cls(sizes, rng=None, dtype=data["w0"].dtype.type)
             for i in range(len(sizes) - 1):

@@ -59,7 +59,7 @@ class StepOutcome(NamedTuple):
     dropped: int = 0                # arrivals turned away by a full buffer
     # Left the buffer: (service id, latency, missed, pdu_bits - remaining_bits).
     resolved: tuple | list = ()
-    v_final: list[int] | None = None    # continuity counters, last RB of a time step
+    vacant: list[bool] | None = None    # per RB, continuity >= C; last RB of a time step
 
 
 def aggregate_reward(
@@ -199,16 +199,15 @@ class SchedulingEnv:
                     self.buffer[action - 1] = None
 
         accepted = dropped = 0
-        v_final = None
+        vacant = None
         if k < self.R - 1:
             reward = -1.0 if invalid else 0.0
         else:
-            # Finalize the continuity counters with this step's allocation
-            # mask. `v` is replaced, never changed in place, so `v_final`
-            # can share it.
-            self.v = v_final = [0 if m else vk + 1 for m, vk in zip(self.mask, self.v)]
+            # Finalize the continuity counters with this step's allocation mask.
+            self.v = [0 if m else vk + 1 for m, vk in zip(self.mask, self.v)]
             c = self.C
-            r2 = sum(vk >= c for vk in v_final)
+            vacant = [vk >= c for vk in self.v]
+            r2 = sum(vacant)
             if was_empty:
                 reward = 0.0
             else:
@@ -230,7 +229,7 @@ class SchedulingEnv:
         # All eight fields in order, built without the Python frame of the
         # generated `__new__`: 0.18 µs against 0.46 µs, on every RL step.
         return tuple.__new__(StepOutcome, (reward, self.done, delivered, alloc_se,
-                                           accepted, dropped, resolved, v_final))
+                                           accepted, dropped, resolved, vacant))
 
     def _advance_time_step(self, resolved):
         """End-of-step housekeeping: TTLs, misses, admissions, fading redraws.

@@ -56,42 +56,39 @@ class ExperimentConfig:
     learning_window: int = 1000  # RL steps, for the emitted learning curve
 
     def validate(self):
-        """Check every key's type (that of its parser) and rule in `_KEYS`.
-
-        A key's type is checked before its bounds, and the bounds that are
-        numbers for every key before the bounds that name another key, so a
-        bad value is reported under its own key, not under a key it bounds.
+        """Check each key once, in `_KEYS` order: its type (that of its
+        parser), then its rule. A bound that names a key names an earlier
+        one, so a bad value is reported under its own key, not under a key
+        it bounds.
         """
         values = _values(self)
-        for named in (False, True):
-            for key, (_, _, parser, rule) in _KEYS.items():
-                if not (named or _typed(parser, values[key])):
-                    raise ConfigError(f"{key}: wrong type, got {values[key]!r}")
-                if _breaks(rule, values[key], values, named):
-                    allowed = rule if isinstance(rule, str) else \
-                        "{" + ", ".join(map(str, rule)) + "}"
-                    raise ConfigError(f"{key}: must be in {allowed}, got {values[key]!r}")
+        for key, (_, _, parser, rule) in _KEYS.items():
+            value = values[key]
+            if not _typed(parser, value):
+                raise ConfigError(f"{key}: wrong type, got {value!r}")
+            if _breaks(rule, value, values):
+                allowed = rule if isinstance(rule, str) else "{" + ", ".join(map(str, rule)) + "}"
+                raise ConfigError(f"{key}: must be in {allowed}, got {value!r}")
 
 
 _LOW = {"[": operator.ge, "(": operator.gt}
 _HIGH = {"]": operator.le, ")": operator.lt}
 
 
-def _breaks(rule, value, values: dict, named: bool) -> bool:
-    """Whether `value` (each element, for a tuple) breaks `rule`, checking
-    only the bounds that name a key (`named`) or only the others.
+def _breaks(rule, value, values: dict) -> bool:
+    """Whether `value` (each element, for a tuple) breaks `rule`.
 
     A rule is a tuple of allowed values or an interval such as `"[1, inf)"`
-    or `"(channel.dist_min, inf)"`. The comparisons are written so that NaN
-    breaks every interval.
+    or `"(channel.dist_min, inf)"`, whose bounds are numbers or keys. The
+    comparisons are written so that NaN breaks every interval.
     """
     if not isinstance(rule, str):
-        return not named and value not in rule
+        return value not in rule
     low, high = rule[1:-1].split(", ")
     checks = [(_LOW[rule[0]], low), (_HIGH[rule[-1]], high)]
-    return any(not holds(v, values[bound] if named else float(bound))
+    return any(not holds(v, values[bound] if bound in values else float(bound))
                for v in (value if isinstance(value, tuple) else (value,))
-               for holds, bound in checks if (bound in values) == named)
+               for holds, bound in checks)
 
 
 def _parse_bool(text: str) -> bool:
@@ -118,7 +115,8 @@ def _typed(parser, value) -> bool:
 
 
 # The one table of config keys: dotted key -> (target section, attribute,
-# parser, rule). `ExperimentConfig.validate` checks every rule.
+# parser, rule). `ExperimentConfig.validate` checks every rule, in this
+# order; a rule may name only a key above it.
 _KEYS = {
     "channel.carrier_freq": ("channel", "carrier_freq", float, "(0, inf)"),
     "channel.ref_distance": ("channel", "ref_distance", float, "(0, inf)"),
@@ -142,13 +140,13 @@ _KEYS = {
     "reward.delta": ("root", "delta", float, "(0, inf]"),
     "agent.gamma": ("agent", "gamma", float, "(0, 1]"),
     "agent.learning_rate": ("agent", "learning_rate", float, "(0, inf)"),
-    "agent.minibatch": ("agent", "minibatch", int, "[1, agent.min_observations]"),
-    "agent.target_sync": ("agent", "target_sync", int, "[1, inf)"),
+    "agent.replay_capacity": ("agent", "replay_capacity", int, "[1, inf)"),
     # Replay memory never holds more than its capacity, so a longer warm-up
     # would never end and the network never train.
     "agent.min_observations": ("agent", "min_observations", int,
                                "[1, agent.replay_capacity]"),
-    "agent.replay_capacity": ("agent", "replay_capacity", int, "[1, inf)"),
+    "agent.minibatch": ("agent", "minibatch", int, "[1, agent.min_observations]"),
+    "agent.target_sync": ("agent", "target_sync", int, "[1, inf)"),
     "agent.hidden": ("agent", "hidden", _parse_hidden, "[1, inf)"),
     "agent.init_std": ("agent", "init_std", float, "[0, inf)"),
     "agent.eps0": ("agent", "eps0", float, "[0, 1]"),
@@ -174,7 +172,8 @@ def _values(config: ExperimentConfig) -> dict:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a flat key = value config file; unset keys keep their defaults.
+    """Parse a flat key = value config file; unset keys keep their defaults,
+    and a key may be set on one line only.
 
     `overrides` maps keys to value text that replaces the file's.
     """
@@ -182,7 +181,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file ({exc})") from exc
-    settings = []
+    settings, set_on = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,6 +189,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         settings.append((f"{path}:{lineno}: ", key, value))
     settings += [("", key, value) for key, value in (overrides or {}).items()]
 
@@ -366,7 +368,7 @@ def run(config: ExperimentConfig, out_dir=None) -> Run:
                          np.random.default_rng(explore_ss),
                          np.random.default_rng(policy_ss))
     n_sets = 2 if config.eval_set and config.policy == "dqn" else 1
-    sets = [RunMetrics(config.channel, config.continuity_len, np.random.default_rng(s))
+    sets = [RunMetrics(config.channel, np.random.default_rng(s))
             for s in (unlic_train_ss, unlic_eval_ss)[:n_sets]]
     run = Run(config, env, policy, sets[0], sets[0], out_path)
     rl_steps = config.steps_per_episode * env.R
@@ -426,8 +428,8 @@ def _read_summary(artifact_dir) -> dict:
     if status != "ok":
         ended = "diverged" if status == "diverged" else f"was {status}"
         raise ConfigError(f"{path}: the run {ended}, so it has no result to compare")
-    for key, kind in _SUMMARY_TYPES.items():
-        if not isinstance(summary[key], kind):
+    for key, kind in _SUMMARY_TYPES.items():    # JSON's true and false are not numbers
+        if not isinstance(summary[key], kind) or isinstance(summary[key], bool):
             raise ConfigError(f"{path}: {key}: wrong type, got {summary[key]!r}")
     return summary
 

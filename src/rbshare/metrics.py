@@ -24,7 +24,6 @@ class RunMetrics:
     """
 
     params: ch.ChannelParams
-    continuity_len: int
     unlicensed_rng: np.random.Generator
 
     rl_steps: int = 0
@@ -40,7 +39,7 @@ class RunMetrics:
     satisfied: int = 0
     latency: dict = field(default_factory=dict)      # type id -> [latency]
     unlicensed_bits: int = 0
-    unlicensed_rb_steps: int = 0       # grid cells with continuity >= C
+    unlicensed_rb_steps: int = 0       # grid cells reported vacant
     unlicensed_bits_per_rb: tuple = field(init=False)   # the link's bits on each RB
 
     def __post_init__(self):
@@ -68,11 +67,11 @@ class RunMetrics:
                 self.missed_bits += bits
             else:
                 self.satisfied += 1
-        v = out.v_final
-        if v is not None:
+        vacant = out.vacant
+        if vacant is not None:
             self.time_steps += 1
-            for vk, bits in zip(v, self.unlicensed_bits_per_rb):
-                if vk >= self.continuity_len:
+            for free, bits in zip(vacant, self.unlicensed_bits_per_rb):
+                if free:
                     self.unlicensed_rb_steps += 1
                     self.unlicensed_bits += bits
             if self.time_steps % self.params.coherence_time == 0:

@@ -17,6 +17,8 @@ from rbshare.metrics import RunMetrics
 # bisects) and the accounting are checked against. Then one fading draw at a
 # time and the network's layers out of place, for `channel.draw_link`,
 # `channel._fading_draws`, `channel.redraw_small_scale` and `MLP.activations`.
+# Last, the continuity counters recounted from an allocation grid, for
+# `SchedulingEnv.step` and the unlicensed link's share of `RunMetrics`.
 
 
 def sinr(params: ChannelParams, h_k: complex) -> float:
@@ -87,6 +89,20 @@ def forward_chain(net, x) -> list[np.ndarray]:
     return acts
 
 
+def continuity_counters(mask_grid, episode_len=None) -> list[list[int]]:
+    """Each time step's continuity counters, recounted from an allocation
+    grid of one row of per-RB allocated flags per time step: a counter is 0
+    where its RB was allocated and one more than the row before where it was
+    left free. The counters start at 0, and again every `episode_len` rows."""
+    history = []
+    for n, row in enumerate(mask_grid):
+        if n == 0 or episode_len and n % episode_len == 0:
+            v = [0] * len(row)
+        v = [0 if allocated else vk + 1 for allocated, vk in zip(row, v)]
+        history.append(v)
+    return history
+
+
 def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.inf,
              steps=50, rate="high", seed=0, **channel_kw):
     params = ch.ChannelParams(**channel_kw)
@@ -101,7 +117,7 @@ def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.in
 
 def env_metrics(env, link_seed=0) -> RunMetrics:
     """`RunMetrics` for `env`, with an unlicensed link drawn from `link_seed`."""
-    return RunMetrics(env.params, env.C, np.random.default_rng(link_seed))
+    return RunMetrics(env.params, np.random.default_rng(link_seed))
 
 
 def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):
@@ -185,14 +201,15 @@ class GridRecorder:
 
     Before each step it marks the current RB allocated when the buffer is not
     empty and the action picks an occupied slot; the row is closed on the
-    step that returns `v_final`, whose counters it keeps. So the grid is
-    derived from the buffer and the actions alone, not from the env's own
-    mask, and a recount from it checks the env's continuity counters.
+    step that reports `vacant`, the time step's last, after which it keeps a
+    copy of the env's counters `v`. So the grid is derived from the buffer and
+    the actions alone, not from the env's own mask, and `continuity_counters`
+    of it checks the env's counters.
     """
 
     def __init__(self, env):
-        self.mask_grid: list[np.ndarray] = []
-        self.v_history: list[np.ndarray] = []
+        self.mask_grid: list[list[bool]] = []
+        self.v_history: list[list[int]] = []
         row = [False] * env.R
         step = env.step
 
@@ -202,9 +219,9 @@ class GridRecorder:
             if action and any(e is not None for e in buffer) and buffer[action - 1] is not None:
                 row[env.rl_step % env.R] = True
             out = step(action)
-            if out.v_final is not None:
-                self.mask_grid.append(np.array(row))
-                self.v_history.append(np.array(out.v_final))
+            if out.vacant is not None:
+                self.mask_grid.append(row)
+                self.v_history.append(list(env.v))
                 row = [False] * env.R
             return out
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import GridRecorder, Ledger, env_metrics, make_env, put_entry
+from conftest import GridRecorder, Ledger, continuity_counters, env_metrics, make_env, \
+    put_entry
 from test_agent import oracle_ml, oracle_mt, randomize_buffer
 
 from rbshare.agent import MLP, AgentConfig, epsilon_value, ml_action, mt_action
@@ -137,17 +138,6 @@ def test_criterion_05_gradient_check():
     assert worst < 1e-4
 
 
-def brute_force_continuity(mask_grid):
-    """Recount trailing free runs per RB from the full allocation grid."""
-    grid = np.asarray(mask_grid)
-    v = np.zeros(grid.shape[1], dtype=int)
-    history = []
-    for row in grid:
-        v = np.where(row, 0, v + 1)
-        history.append(v.copy())
-    return history
-
-
 def test_criterion_06_continuity_brute_force():
     rng = np.random.default_rng(66)
     bad = 0
@@ -158,19 +148,22 @@ def test_criterion_06_continuity_brute_force():
         env.reset()
         while not env.done:
             env.step(int(rng.integers(0, env.L + 1)))
-        recount = brute_force_continuity(rec.mask_grid)
-        for got, want in zip(rec.v_history, recount):
-            if not np.array_equal(got, want):
-                bad += 1
+        recount = continuity_counters(rec.mask_grid)
+        bad += sum(got != want for got, want in zip(rec.v_history, recount, strict=True))
+    # Fig. 1: with C = 2, one free time step from v = [0, 0, 0, 0, 0, 1]
+    # leaves only RB R free for C time steps, and the env reports just it.
     env = make_env(continuity_len=2)
     env.reset()
-    env.v[:] = [1, 1, 1, 1, 1, 2]
-    qualifying = [k for k in range(env.R) if env.v[k] >= env.C]
-    ok = bad == 0 and qualifying == [env.R - 1]
-    report(6, ok, f"{bad} continuity mismatches over 10^3 episodes; "
-                  f"qualifying RBs for v=[1,1,1,1,1,2], C=2: {qualifying}")
+    assert env.buffer.count(None) == env.L    # nothing to serve, so every RB stays free
+    env.v[:] = [0, 0, 0, 0, 0, 1]
+    vacant = [env.step(0).vacant for _ in range(env.R)][-1]
+    reported = [k for k, free in enumerate(vacant) if free]
+    ok = bad == 0 and reported == [env.R - 1]
+    report(6, ok, f"{bad} continuity mismatches over 10^3 episodes; RBs reported "
+                  f"vacant after one free time step from v=[0,0,0,0,0,1], C=2: {reported}")
     assert bad == 0
-    assert qualifying == [env.R - 1]
+    assert env.v == [1, 1, 1, 1, 1, 2]
+    assert reported == [env.R - 1]
 
 
 def test_criterion_07_bit_conservation():

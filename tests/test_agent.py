@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -457,6 +458,16 @@ class TestCheckpoint:
         assert loaded.dtype == dtype
         for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
             assert b.dtype == dtype and b.tobytes() == a.tobytes()
+
+    def test_other_format_version_names_file(self, tmp_path):
+        path = tmp_path / "net.npz"
+        ag.MLP([4, 3, 2], rng=np.random.default_rng(17)).save(path)
+        with np.load(path) as data:
+            arrays = {**data, "format_version": np.array([2])}
+        np.savez(path, **arrays)
+        message = f"{path}: unsupported checkpoint version 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ag.MLP.load(path)
 
 
 # A default-size DQN trained in a fresh process, BLAS on one thread: minor

@@ -6,22 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GridRecorder, Ledger, env_metrics, make_env, put_entry
+from conftest import GridRecorder, Ledger, continuity_counters, env_metrics, make_env, \
+    put_entry
 from test_agent import randomize_buffer
 from rbshare import traffic as tr
 from rbshare.agent import mt_action, random_policy
 from rbshare.environment import V_SCALE, aggregate_reward
-
-
-def brute_force_continuity(mask_grid, num_rbs):
-    """Recount trailing free runs per RB from the full allocation grid."""
-    v = np.zeros(num_rbs, dtype=np.int64)
-    history = []
-    for mask in mask_grid:
-        for k in range(num_rbs):
-            v[k] = 0 if mask[k] else v[k] + 1
-        history.append(v.copy())
-    return history
 
 
 def reference_encode(env) -> np.ndarray:
@@ -221,10 +211,9 @@ class TestContinuity:
             e.reset()
             while not e.done:
                 e.step(int(rng.integers(0, e.L + 1)))
-            expected = brute_force_continuity(rec.mask_grid, e.R)
-            assert len(expected) == len(rec.v_history) == 30
-            for got, want in zip(rec.v_history, expected):
-                assert np.array_equal(got, want)
+            expected = continuity_counters(rec.mask_grid)
+            assert len(expected) == 30
+            assert rec.v_history == expected
 
 
 class TestReward:

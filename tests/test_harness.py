@@ -35,9 +35,9 @@ NON_DEFAULT_VALUES = {
     "channel.num_rbs": "8", "channel.noise_temp": "290", "channel.noise_figure": "7.5",
     "traffic.rate": "low", "env.buffer_len": "20", "env.continuity_len": "3",
     "reward.alpha": "0.5", "reward.beta": "2", "reward.delta": "1.5",
-    "agent.gamma": "0.5", "agent.learning_rate": "0.001", "agent.minibatch": "16",
-    "agent.target_sync": "50", "agent.min_observations": "64",
-    "agent.replay_capacity": "1000", "agent.hidden": "32,16", "agent.init_std": "0.02",
+    "agent.gamma": "0.5", "agent.learning_rate": "0.001", "agent.replay_capacity": "1000",
+    "agent.min_observations": "64", "agent.minibatch": "16", "agent.target_sync": "50",
+    "agent.hidden": "32,16", "agent.init_std": "0.02",
     "agent.eps0": "0.5", "agent.eps_inf": "0.05", "agent.eps_decay_steps": "500",
     "run.policy": "mt+f", "run.licensed_rbs": "5", "run.episodes": "3",
     "run.steps_per_episode": "40", "run.seed": "9", "run.eval_set": "false",
@@ -99,6 +99,36 @@ class TestLoadConfig:
         message = f"{key}: must be in [1, inf), got {value}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(write_config(tmp_path, f"{key} = {value}\n"))
+
+    # Each message names the file and the line.
+    @pytest.mark.parametrize("text, message", [
+        ("run.eval_set = maybe", "run.eval_set: not a boolean: 'maybe'"),
+        ("run.policy mt", "expected 'key = value', got 'run.policy mt'"),
+        ("run.seed = abc", "run.seed: invalid literal for int() with base 10: 'abc'"),
+    ], ids=["not_boolean", "no_equals", "not_int"])
+    def test_bad_line_names_file_and_line(self, tmp_path, text, message):
+        path = write_config(tmp_path, f"run.episodes = 2\n{text}\n")
+        message = f"{path}:2: {message}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    # The last of two lines used to win silently.
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = write_config(tmp_path, "run.policy = mt\nrun.episodes = 2\nrun.policy = dqn\n")
+        message = f"{path}:3: run.policy is already set on line 1"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    # `validate` checks each key once, in table order, so a bound it reads
+    # has been checked already.
+    def test_rule_names_only_earlier_keys(self):
+        keys = list(harness._KEYS)
+        named = [(bound, key) for key, (_, _, _, rule) in harness._KEYS.items()
+                 if isinstance(rule, str) for bound in rule[1:-1].split(", ")
+                 if bound in harness._KEYS]
+        assert named
+        for bound, key in named:
+            assert keys.index(bound) < keys.index(key), (bound, key)
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -580,6 +610,15 @@ class TestCompare:
         lines = table.splitlines()
         assert len(lines) == 3  # header + two policy rows
 
+    def test_no_summary_names_directory(self, tmp_path):
+        message = f"no summary.json in {tmp_path}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness.compare([tmp_path])
+
+    def test_nothing_to_compare(self):
+        with pytest.raises(ConfigError, match="^nothing to compare$"):
+            harness.compare([])
+
     def test_mixed_scenarios_rejected(self, tmp_path):
         harness.run(tiny_config(), out_dir=tmp_path / "r0")
         harness.run(tiny_config(buffer_len=20), out_dir=tmp_path / "r1")
@@ -621,7 +660,8 @@ class TestCli:
         assert capsys.readouterr().err == "error: run.seed: must be in [0, inf), got -1\n"
         assert not out.exists()
 
-    # Each flag is a shorthand for one key, parsed and checked like the file.
+    # Each flag is a shorthand for one key, parsed and checked like the file,
+    # and wins over the file's line of that key (`--policy`, `--episodes`).
     @pytest.mark.parametrize("flag, key, value", [
         ("--seed", "run.seed", "3"), ("--policy", "run.policy", "ml"),
         ("--episodes", "run.episodes", "2"), ("--rate", "traffic.rate", "low"),
@@ -719,7 +759,10 @@ class TestCli:
         ("{}", None), ("not json", None),
         (json.dumps({**SUMMARY, "se_licensed_adjusted": "x"}), "se_licensed_adjusted"),
         (json.dumps({**SUMMARY, "licensed_rbs": "4"}), "licensed_rbs"),
-    ], ids=["no_keys", "not_json", "bad_se", "bad_licensed_rbs"])
+        # JSON's true used to read as 1 and print as 1.0000.
+        (json.dumps({**SUMMARY, "num_rbs": True, "se_licensed_adjusted": True}), "num_rbs"),
+        (json.dumps({**SUMMARY, "se_licensed_adjusted": False}), "se_licensed_adjusted"),
+    ], ids=["no_keys", "not_json", "bad_se", "bad_licensed_rbs", "bool_numbers", "bool_se"])
     def test_compare_bad_summary_names_file(self, tmp_path, capsys, text, key):
         (tmp_path / "summary.json").write_text(text)
         assert cli.main(["compare", str(tmp_path)]) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GridRecorder, Ledger, make_env
+from conftest import GridRecorder, Ledger, continuity_counters, make_env
 from rbshare import channel as ch
 from rbshare.agent import CallablePolicy, fixed_split, mt_action
 from rbshare.environment import StepOutcome
@@ -11,8 +11,8 @@ from rbshare.metrics import RunMetrics
 
 
 def bare_metrics():
-    """Default channel (W*T = 180 bits, R = 6), C = 2."""
-    return RunMetrics(ch.ChannelParams(), 2, np.random.default_rng(0))
+    """Default channel (W*T = 180 bits, R = 6)."""
+    return RunMetrics(ch.ChannelParams(), np.random.default_rng(0))
 
 
 def blank_outcome(**fields):
@@ -20,28 +20,34 @@ def blank_outcome(**fields):
     return StepOutcome(reward=0.0, terminal=False, **fields)
 
 
-def last_rb(n: int) -> np.ndarray | None:
-    """`v_final` of the n-th RL step under R = 6: counters on the last RB."""
-    return np.zeros(6) if n % 6 == 5 else None
+def last_rb(n: int) -> list[bool] | None:
+    """`vacant` of the n-th RL step under R = 6: no RB vacant, on the last RB."""
+    return [False] * 6 if n % 6 == 5 else None
 
 
 class TestSeLicensed:
+    def test_no_time_step_raises(self):
+        m = bare_metrics()
+        m.record(blank_outcome(delivered_bits=999))    # no time step has ended
+        with pytest.raises(ValueError, match="^no time steps recorded$"):
+            m.se_licensed()
+
     def test_idle_is_zero(self):
         m = bare_metrics()
         for k in range(6):
-            m.record(blank_outcome(v_final=np.ones(6) if k == 5 else None))
+            m.record(blank_outcome(vacant=[False] * 6 if k == 5 else None))
         assert m.se_licensed() == 0.0
         assert m.se_licensed(adjusted=True) == 0.0
 
     def test_adjusted_equals_unadjusted_without_misses(self):
         m = bare_metrics()
-        m.record(blank_outcome(delivered_bits=999, v_final=np.zeros(6)))
+        m.record(blank_outcome(delivered_bits=999, vacant=[False] * 6))
         assert m.se_licensed() == m.se_licensed(adjusted=True)
 
     def test_missed_deduction(self):
         m = bare_metrics()
         m.record(blank_outcome(delivered_bits=999, resolved=[(1, 150, True, 999)],
-                               v_final=np.zeros(6)))
+                               vacant=[False] * 6))
         drop = m.se_licensed() - m.se_licensed(adjusted=True)
         assert drop == pytest.approx(999 / (180.0 * 6), abs=1e-12)
 
@@ -122,7 +128,7 @@ class TestWindowedSe:
     def test_constant_stream(self):
         m = bare_metrics()
         for n in range(600):
-            m.record(blank_outcome(alloc_se=2.5, delivered_bits=450, v_final=last_rb(n)))
+            m.record(blank_outcome(alloc_se=2.5, delivered_bits=450, vacant=last_rb(n)))
         series = m.windowed_se(window=120)
         assert len(series) == 1
         assert series[0] == (100, pytest.approx(2.5))
@@ -131,7 +137,7 @@ class TestWindowedSe:
         m = bare_metrics()
         samples = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0] * 100
         for n, s in enumerate(samples):
-            m.record(blank_outcome(alloc_se=s, v_final=last_rb(n)))
+            m.record(blank_outcome(alloc_se=s, vacant=last_rb(n)))
         series = m.windowed_se(window=1)
         assert series[0][1] == samples[100 * 6 - 1]
 
@@ -141,28 +147,28 @@ class TestWindowedSe:
         m = bare_metrics()
         for n in range(600):
             alloc = 5.0 if n % 2 == 0 else None
-            m.record(blank_outcome(alloc_se=alloc, v_final=last_rb(n)))
+            m.record(blank_outcome(alloc_se=alloc, vacant=last_rb(n)))
         series = m.windowed_se(window=120)
         assert series[0] == (100, pytest.approx(5.0))
 
     def test_empty_window_is_zero(self):
         m = bare_metrics()
         for n in range(600):
-            m.record(blank_outcome(v_final=last_rb(n)))
+            m.record(blank_outcome(vacant=last_rb(n)))
         assert m.windowed_se(window=120) == [(100, 0.0)]
 
 
 class TestUnlicensed:
     def test_no_qualifying_vacancies(self):
         m = bare_metrics()
-        m.record(blank_outcome(v_final=np.zeros(6)))
+        m.record(blank_outcome(vacant=[False] * 6))
         assert m.se_unlicensed() == 0.0
         assert m.unlicensed_rb_steps == 0
 
     def test_saturated_cqi15(self):
         m = bare_metrics()
         m.unlicensed_bits_per_rb = (999,) * 6
-        m.record(blank_outcome(v_final=np.full(6, 3)))
+        m.record(blank_outcome(vacant=[True] * 6))
         assert m.se_unlicensed() == pytest.approx(999 / 180.0)
         assert m.unlicensed_rb_steps == 6
 
@@ -184,12 +190,8 @@ class TestUnlicensed:
         rng = np.random.default_rng(1)
         while not env.done:
             m.record(env.step(int(rng.integers(0, env.L + 1))))
-        v = np.zeros(env.R, dtype=int)
-        expected = 0
-        for mask in rec.mask_grid:
-            v = np.where(mask, 0, v + 1)
-            expected += int((v >= env.C).sum())
-        assert m.unlicensed_rb_steps == expected
+        counters = continuity_counters(rec.mask_grid)
+        assert m.unlicensed_rb_steps == sum(vk >= env.C for v in counters for vk in v)
 
 
 

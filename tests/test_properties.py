@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GridRecorder, Ledger, TwoArrayReplay, env_metrics, make_env, \
-    reference_link_bits
+from conftest import GridRecorder, Ledger, TwoArrayReplay, continuity_counters, env_metrics, \
+    make_env, reference_link_bits
 from test_golden import fingerprint
 from rbshare import harness
 from rbshare import traffic as tr
@@ -98,17 +98,15 @@ def test_accounting_closes(s):
     # The unlicensed link's RBs and bits, recounted from the allocation grid
     # with the link redrawn from a twin of its generator every coherence period
     # of the run, and the continuity counters zeroed at each episode's start.
+    counters = continuity_counters(rec.mask_grid, s["steps"])
+    assert len(counters) == time_steps and rec.v_history == counters
     rb_steps = bits = 0
-    for n, mask in enumerate(rec.mask_grid):
-        if n % s["steps"] == 0:
-            v = np.zeros(env.R, dtype=np.int64)
+    for n, v in enumerate(counters):
         if n % s["coherence_time"] == 0:
             link_bits = np.asarray(reference_link_bits(env.params, twin))
-        v = np.where(mask, 0, v + 1)
-        free = v >= env.C
+        free = np.asarray(v) >= env.C
         rb_steps += int(free.sum())
         bits += int(link_bits[free].sum())
-    assert len(rec.mask_grid) == time_steps
     assert m.unlicensed_rb_steps == rb_steps
     assert m.unlicensed_bits == bits
 
