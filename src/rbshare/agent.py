@@ -218,7 +218,7 @@ def dqn_targets(batch: Batch, target_net: MLP, gamma: float) -> np.ndarray:
 # -- agents / policies ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentConfig:
     gamma: float = 0.9
     learning_rate: float = 1e-4

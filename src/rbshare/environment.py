@@ -199,27 +199,21 @@ class SchedulingEnv:
                     self.buffer[action - 1] = None
 
         accepted = dropped = 0
-        vacant = None
-        if k < self.R - 1:
-            reward = -1.0 if invalid else 0.0
-        else:
+        reward, vacant = -1.0 if invalid else 0.0, None
+        if k == self.R - 1:
             # Finalize the continuity counters with this step's allocation mask.
             self.v = [0 if m else vk + 1 for m, vk in zip(self.mask, self.v)]
             c = self.C
             vacant = [vk >= c for vk in self.v]
-            r2 = sum(vacant)
-            if was_empty:
-                reward = 0.0
-            else:
+            # Paid only if the buffer held a request as the last RB began.
+            if not was_empty:
                 # Smallest normalized TTL; 1.0 once this step emptied the buffer.
                 # `delta = inf` forces the latency factor to 1, so no scan then.
                 min_ttl = 1.0 if self.delta == math.inf else min(
                     (entry.ttl / entry.service.max_latency
                      for entry in self.buffer if entry is not None), default=1.0)
-                reward = aggregate_reward(self.r1, r2, min_ttl,
-                                          self.alpha, self.beta, self.delta, self.R)
-                if invalid:
-                    reward += -1.0
+                reward += aggregate_reward(self.r1, sum(vacant), min_ttl,
+                                           self.alpha, self.beta, self.delta, self.R)
             resolved, accepted, dropped = self._advance_time_step(resolved)
             self.mask = [False] * self.R
             self.r1 = 0.0

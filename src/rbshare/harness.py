@@ -35,7 +35,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     channel: ch.ChannelParams = field(default_factory=ch.ChannelParams)
     agent: AgentConfig = field(default_factory=AgentConfig)
@@ -55,11 +55,11 @@ class ExperimentConfig:
     checkpoint: bool = False
     learning_window: int = 1000  # RL steps, for the emitted learning curve
 
-    def validate(self):
+    def __post_init__(self):
         """Check each key once, in `_KEYS` order: its type (that of its
         parser), then its rule. A bound that names a key names an earlier
         one, so a bad value is reported under its own key, not under a key
-        it bounds.
+        it bounds. The config is frozen, so it stays as checked.
         """
         values = _values(self)
         for key, (_, _, parser, rule) in _KEYS.items():
@@ -115,7 +115,7 @@ def _typed(parser, value) -> bool:
 
 
 # The one table of config keys: dotted key -> (target section, attribute,
-# parser, rule). `ExperimentConfig.validate` checks every rule, in this
+# parser, rule). Building an `ExperimentConfig` checks every rule, in this
 # order; a rule may name only a key above it.
 _KEYS = {
     "channel.carrier_freq": ("channel", "carrier_freq", float, "(0, inf)"),
@@ -205,10 +205,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}{key}: {exc}") from exc
 
-    config = ExperimentConfig(channel=ch.ChannelParams(**kwargs["channel"]),
-                              agent=AgentConfig(**kwargs["agent"]), **kwargs["root"])
-    config.validate()
-    return config
+    return ExperimentConfig(channel=ch.ChannelParams(**kwargs["channel"]),
+                            agent=AgentConfig(**kwargs["agent"]), **kwargs["root"])
 
 
 def config_echo(config: ExperimentConfig) -> str:
@@ -344,7 +342,6 @@ def run(config: ExperimentConfig, out_dir=None) -> Run:
     `"status": "diverged"` and `TrainingDiverged` is raised again. SIGINT or
     SIGTERM stops the run at the next episode boundary, with
     `"status": "interrupted"`, and raises `KeyboardInterrupt`."""
-    config.validate()
     out_path = None if out_dir is None else Path(out_dir)
     if out_path:    # made first, so a bad directory fails before the run
         out_path.mkdir(parents=True, exist_ok=True)

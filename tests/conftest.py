@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from rbshare.metrics import RunMetrics
 # bisects) and the accounting are checked against. Then one fading draw at a
 # time and the network's layers out of place, for `channel.draw_link`,
 # `channel._fading_draws`, `channel.redraw_small_scale` and `MLP.activations`.
-# Last, the continuity counters recounted from an allocation grid, for
-# `SchedulingEnv.step` and the unlicensed link's share of `RunMetrics`.
+# Then the continuity counters recounted from an allocation grid, for
+# `SchedulingEnv.step` and the unlicensed link's share of `RunMetrics`, and
+# the greedy baselines rescanned slot by slot, for `mt_action` and `ml_action`.
+# Last, the fingerprint of a run's artifacts, for the goldens.
 
 
 def sinr(params: ChannelParams, h_k: complex) -> float:
@@ -103,6 +107,50 @@ def continuity_counters(mask_grid, episode_len=None) -> list[list[int]]:
     return history
 
 
+def oracle_mt(env) -> int:
+    """The slot that can take the most bits on the current RB; ties go to
+    the lowest slot, and an empty buffer gives 0."""
+    best, best_bits = 0, None
+    for j in range(env.L):
+        if env.buffer[j] is None:
+            continue
+        bits = deliverable_now(env, j)
+        if best_bits is None or bits > best_bits:
+            best, best_bits = j + 1, bits
+    return best
+
+
+def oracle_ml(env) -> int:
+    """The slot with the least TTL over its latency budget; ties go to the
+    lowest slot, and an empty buffer gives 0."""
+    best, best_val = 0, None
+    for j in range(env.L):
+        entry = env.buffer[j]
+        if entry is None:
+            continue
+        val = entry.ttl / entry.service.max_latency
+        if best_val is None or val < best_val:
+            best, best_val = j + 1, val
+    return best
+
+
+def fingerprint(out_dir: Path) -> dict:
+    """SHA-256 of each artifact that carries a number, by file name."""
+    prints = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "summary.json" or path.suffix == ".csv":
+            prints[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        elif path.suffix == ".npz":
+            h = hashlib.sha256()
+            with np.load(path) as data:
+                for key in sorted(data.files):
+                    arr = data[key]
+                    h.update(f"{key}|{arr.dtype.str}|{arr.shape}|".encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+            prints[path.name] = h.hexdigest()
+    return prints
+
+
 def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.inf,
              steps=50, rate="high", seed=0, **channel_kw):
     params = ch.ChannelParams(**channel_kw)
@@ -133,6 +181,20 @@ def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):
     )
     env.buffer[slot] = entry
     return entry
+
+
+def randomize_buffer(env, rng):
+    """Refill the buffer with random live requests in random slots, and move
+    to a random RB of the time step."""
+    for j in range(env.L):
+        env.buffer[j] = None
+    for j in rng.choice(env.L, size=rng.integers(0, env.L + 1), replace=False):
+        tid = int(rng.integers(1, 4))
+        entry = put_entry(env, int(j), type_id=tid,
+                          bits_per_rb=int(rng.integers(0, 1000)))
+        entry.ttl = int(rng.integers(1, entry.service.max_latency + 1))
+        entry.remaining_bits = int(rng.integers(1, entry.service.pdu_bits + 1))
+    env.rl_step = int(rng.integers(0, env.R))
 
 
 @pytest.fixture

@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import GridRecorder, Ledger, continuity_counters, env_metrics, make_env, \
-    put_entry
-from test_agent import oracle_ml, oracle_mt, randomize_buffer
-
+    oracle_ml, oracle_mt, put_entry, randomize_buffer
 from rbshare.agent import MLP, AgentConfig, epsilon_value, ml_action, mt_action
 from rbshare.environment import aggregate_reward
 from rbshare.harness import ExperimentConfig, run

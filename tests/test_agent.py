@@ -204,14 +204,6 @@ class TestTargetsAndSync:
 
 
 class TestEpsilon:
-    def test_schedule_points(self):
-        c = ag.AgentConfig()
-        eps = [ag.epsilon_value(i, c.eps0, c.eps_inf, c.eps_decay_steps)
-               for i in (0, 40_000, 80_000, 123_456)]
-        assert eps[0] == 1.0
-        assert eps[1] == pytest.approx(0.505, abs=1e-12)
-        assert eps[2:] == [0.01, 0.01]
-
     def test_greedy_argmax_and_ties(self):
         net = ag.MLP([3, 4])
         net.biases[0][:] = [0.0, 3.0, 1.0, 3.0]
@@ -327,42 +319,6 @@ class TestReplay:
             mem.sample(2, np.random.default_rng(13))
 
 
-def oracle_mt(env):
-    best, best_bits = 0, None
-    for j in range(env.L):
-        entry = env.buffer[j]
-        if entry is None:
-            continue
-        bits = min(int(entry.deliverable[env.psi - 1]), entry.remaining_bits)
-        if best_bits is None or bits > best_bits:
-            best, best_bits = j + 1, bits
-    return best
-
-
-def oracle_ml(env):
-    best, best_val = 0, None
-    for j in range(env.L):
-        entry = env.buffer[j]
-        if entry is None:
-            continue
-        val = entry.ttl / entry.service.max_latency
-        if best_val is None or val < best_val:
-            best, best_val = j + 1, val
-    return best
-
-
-def randomize_buffer(env, rng):
-    for j in range(env.L):
-        env.buffer[j] = None
-    for j in rng.choice(env.L, size=rng.integers(0, env.L + 1), replace=False):
-        tid = int(rng.integers(1, 4))
-        entry = put_entry(env, int(j), type_id=tid,
-                          bits_per_rb=int(rng.integers(0, 1000)))
-        entry.ttl = int(rng.integers(1, entry.service.max_latency + 1))
-        entry.remaining_bits = int(rng.integers(1, entry.service.pdu_bits + 1))
-    env.rl_step = int(rng.integers(0, env.R))
-
-
 class TestBaselines:
     def test_empty_buffer(self, env):
         assert ag.mt_action(env) == 0
@@ -384,15 +340,6 @@ class TestBaselines:
         put_entry(env, 1, type_id=2, ttl=20)    # 0.1
         put_entry(env, 2, type_id=3, ttl=150)   # 0.5
         assert ag.ml_action(env) == 2
-
-    def test_oracle_equivalence(self):
-        env = make_env()
-        env.reset()
-        rng = np.random.default_rng(14)
-        for _ in range(2000):
-            randomize_buffer(env, rng)
-            assert ag.mt_action(env) == oracle_mt(env)
-            assert ag.ml_action(env) == oracle_ml(env)
 
 
 class TestRandomPolicy:

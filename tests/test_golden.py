@@ -1,11 +1,11 @@
 """Golden fingerprints: seven small runs whose artifacts must not change.
 
-Each config runs through `harness.run` with an output directory. The test
-hashes the bytes of `summary.json` and of every CSV, and the key, dtype,
-shape and bytes of each array in `qnetwork.npz`, then compares them with the
-pinned SHA-256 values below. A change that is meant to leave every number
-alone (a refactor or a speed-up) must keep this test passing. A change that
-alters the numbers re-pins them and says why.
+Each config runs through `harness.run` with an output directory.
+`conftest.fingerprint` hashes the bytes of `summary.json` and of every CSV,
+and the key, dtype, shape and bytes of each array in `qnetwork.npz`; the test
+compares these with the pinned SHA-256 values below. A change that is meant
+to leave every number alone (a refactor or a speed-up) must keep this test
+passing. A change that alters the numbers re-pins them and says why.
 
 Scope: the fingerprints are bitwise on one machine and one BLAS build
 (OpenBLAS 0.3.31, Haswell kernel, numpy 2.4). Every run goes through linear
@@ -19,14 +19,13 @@ Print the current fingerprints with
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
-import hashlib
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from conftest import fingerprint
 from rbshare.agent import AgentConfig
 from rbshare.channel import ChannelParams
 from rbshare.harness import ExperimentConfig, run
@@ -58,23 +57,6 @@ def golden_configs() -> dict:
             agent=AgentConfig(replay_capacity=700, min_observations=200,
                               target_sync=50, hidden=(64, 64))),
     }
-
-
-def fingerprint(out_dir: Path) -> dict:
-    """SHA-256 of each artifact that carries a number, by file name."""
-    prints = {}
-    for path in sorted(out_dir.iterdir()):
-        if path.name == "summary.json" or path.suffix == ".csv":
-            prints[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        elif path.suffix == ".npz":
-            h = hashlib.sha256()
-            with np.load(path) as data:
-                for key in sorted(data.files):
-                    arr = data[key]
-                    h.update(f"{key}|{arr.dtype.str}|{arr.shape}|".encode())
-                    h.update(np.ascontiguousarray(arr).tobytes())
-            prints[path.name] = h.hexdigest()
-    return prints
 
 
 def run_fingerprint(name: str) -> dict:

@@ -1,6 +1,6 @@
-"""No module of the package imports a name it never uses, every top-level
-function and class of the package is named somewhere else, and none of
-them, nor any method, is named only by the tests."""
+"""No module of the package imports a name it never uses, and every
+top-level function and class of the package, and every method, is named by
+the program itself, not only by the tests."""
 
 import ast
 from pathlib import Path
@@ -9,8 +9,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rbshare"
-# Where a top-level name of the package may be used.
-USERS = ("src", "tests", "perfbench")
 # Where the program's own names are read: code that only `tests/` reads is a
 # test oracle and belongs there.
 PROGRAM = ("src", "perfbench")
@@ -74,26 +72,12 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
-def test_dead_name_detector():
-    defs = "class Used:\n    pass\nclass Dead:\n    pass\ndef patched():\n    pass\n"
-    users = "x = Used()\nsetattr(m, 'patched', None)\n# Dead is only in a comment\n"
-    assert top_level_names(defs) == ["Used", "Dead", "patched"]
-    assert set(top_level_names(defs)) - referenced_names(users) == {"Dead"}
-
-
 def names_read_in(folders) -> set[str]:
     used: set[str] = set()
     for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             used |= referenced_names(path.read_text())
     return used
-
-
-def test_no_dead_top_level_names():
-    used = names_read_in(USERS)
-    dead = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
-            for name in top_level_names(path.read_text()) if name not in used]
-    assert dead == []
 
 
 def defined_names(source: str) -> list[str]:
@@ -106,13 +90,16 @@ def defined_names(source: str) -> list[str]:
     return top_level_names(source) + methods
 
 
+# A name spelled in a string (`setattr`) counts as read; one that appears
+# only in a comment does not.
 def test_test_only_name_detector():
-    defs = ("def used():\n    pass\ndef oracle():\n    pass\n"
+    defs = ("def used():\n    pass\ndef oracle():\n    pass\ndef patched():\n    pass\n"
             "class Env:\n    def __init__(self):\n        pass\n"
             "    def step(self):\n        pass\n    def peek(self):\n        pass\n")
-    program = "env = Env()\nenv.step()\nused()\n"
+    program = ("env = Env()\nenv.step()\nused()\nsetattr(m, 'patched', None)\n"
+               "# oracle is only in a comment\n")
     tests = "oracle()\nEnv().peek()\n"
-    assert defined_names(defs) == ["used", "oracle", "Env", "step", "peek"]
+    assert defined_names(defs) == ["used", "oracle", "patched", "Env", "step", "peek"]
     assert set(defined_names(defs)) - referenced_names(program + tests) == set()
     assert [n for n in defined_names(defs) if n not in referenced_names(program)] == \
         ["oracle", "peek"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GridRecorder, Ledger, continuity_counters, make_env
+from conftest import Ledger, make_env
 from rbshare import channel as ch
 from rbshare.agent import CallablePolicy, fixed_split, mt_action
 from rbshare.environment import StepOutcome
@@ -181,18 +181,6 @@ class TestUnlicensed:
             m.record(env.step(policy.act(env)))
         # RBs 5-6 are permanently free: they qualify on every step after C=2.
         assert m.unlicensed_rb_steps >= 2 * (30 - 2)
-
-    def test_count_matches_brute_force_grid(self):
-        env = make_env(steps=60, seed=7)
-        rec = GridRecorder(env)
-        env.reset()
-        m = bare_metrics()
-        rng = np.random.default_rng(1)
-        while not env.done:
-            m.record(env.step(int(rng.integers(0, env.L + 1))))
-        counters = continuity_counters(rec.mask_grid)
-        assert m.unlicensed_rb_steps == sum(vk >= env.C for v in counters for vk in v)
-
 
 
 class TestMergeAndEmission:

@@ -14,12 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GridRecorder, Ledger, TwoArrayReplay, continuity_counters, env_metrics, \
-    make_env, reference_link_bits
-from test_golden import fingerprint
+    fingerprint, make_env, reference_link_bits
 from rbshare import harness
 from rbshare import traffic as tr
-from rbshare.agent import MLP, AgentConfig, CallablePolicy, DQNPolicy, ReplayMemory, \
-    dqn_targets, fixed_split, ml_action, mt_action, random_policy
+from rbshare.agent import MLP, AgentConfig, DQNPolicy, ReplayMemory, dqn_targets
 from rbshare.channel import ChannelParams
 
 
@@ -43,12 +41,6 @@ def scenarios(draw):
     }
 
 
-def make_policy(name: str, licensed_rbs: int, rng):
-    base = {"mt": CallablePolicy(mt_action), "ml": CallablePolicy(ml_action),
-            "random": random_policy(rng)}[name.removesuffix("+f")]
-    return fixed_split(base, licensed_rbs) if name.endswith("+f") else base
-
-
 @settings(max_examples=100, deadline=None)
 @given(scenarios())
 def test_accounting_closes(s):
@@ -60,7 +52,10 @@ def test_accounting_closes(s):
     link_seed = s["seed"] + 1
     m = env_metrics(env, link_seed)
     twin = np.random.default_rng(link_seed)
-    policy = make_policy(s["policy"], s["licensed_rbs"], np.random.default_rng(s["seed"]))
+    cfg = harness.ExperimentConfig(policy=s["policy"], licensed_rbs=s["licensed_rbs"],
+                                   channel=env.params)
+    policy = harness.make_policy(cfg, env.state_dim(), None, None,
+                                 np.random.default_rng(s["seed"]))
     ledger = Ledger()
     resolved = []
     arrivals = abandoned = 0
