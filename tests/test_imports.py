@@ -72,6 +72,15 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+# A name spelled in a string (`setattr`) counts as read; one that appears
+# only in a comment does not.
+def test_dead_name_detector():
+    defs = "class Used:\n    pass\nclass Dead:\n    pass\ndef patched():\n    pass\n"
+    users = "x = Used()\nsetattr(m, 'patched', None)\n# Dead is only in a comment\n"
+    assert top_level_names(defs) == ["Used", "Dead", "patched"]
+    assert set(top_level_names(defs)) - referenced_names(users) == {"Dead"}
+
+
 def names_read_in(folders) -> set[str]:
     used: set[str] = set()
     for folder in folders:
@@ -90,16 +99,13 @@ def defined_names(source: str) -> list[str]:
     return top_level_names(source) + methods
 
 
-# A name spelled in a string (`setattr`) counts as read; one that appears
-# only in a comment does not.
 def test_test_only_name_detector():
-    defs = ("def used():\n    pass\ndef oracle():\n    pass\ndef patched():\n    pass\n"
+    defs = ("def used():\n    pass\ndef oracle():\n    pass\n"
             "class Env:\n    def __init__(self):\n        pass\n"
             "    def step(self):\n        pass\n    def peek(self):\n        pass\n")
-    program = ("env = Env()\nenv.step()\nused()\nsetattr(m, 'patched', None)\n"
-               "# oracle is only in a comment\n")
+    program = "env = Env()\nenv.step()\nused()\n"
     tests = "oracle()\nEnv().peek()\n"
-    assert defined_names(defs) == ["used", "oracle", "patched", "Env", "step", "peek"]
+    assert defined_names(defs) == ["used", "oracle", "Env", "step", "peek"]
     assert set(defined_names(defs)) - referenced_names(program + tests) == set()
     assert [n for n in defined_names(defs) if n not in referenced_names(program)] == \
         ["oracle", "peek"]
