@@ -285,8 +285,7 @@ def _record(run: Run):
         return
     _write_atomic(out_path / "config_echo.txt", lambda f: f.write(config_echo(config)))
     _write_atomic(out_path / "seed.txt", lambda f: f.write(f"{config.seed}\n"))
-    _write_csv(out_path / "learning_curve.csv", "step,value",
-               run.train_metrics.windowed_se(config.learning_window))
+    _write_csv(out_path / "learning_curve.csv", "step,value", run.train_metrics.learning_curve)
     for svc_id in sorted(metrics.latency):
         _write_csv(out_path / f"latency_type{svc_id}.csv", "latency,cdf",
                    metrics.latency_cdf(svc_id))
@@ -365,7 +364,7 @@ def run(config: ExperimentConfig, out_dir=None) -> Run:
                          np.random.default_rng(explore_ss),
                          np.random.default_rng(policy_ss))
     n_sets = 2 if config.eval_set and config.policy == "dqn" else 1
-    sets = [RunMetrics(config.channel, np.random.default_rng(s))
+    sets = [RunMetrics(config.channel, np.random.default_rng(s), config.learning_window)
             for s in (unlic_train_ss, unlic_eval_ss)[:n_sets]]
     run = Run(config, env, policy, sets[0], sets[0], out_path)
     rl_steps = config.steps_per_episode * env.R

@@ -1,11 +1,12 @@
 """Evaluation accounting: licensed spectral efficiency (with and without the
 missed-bits deduction), the coexisting unlicensed link, acceptance / missed
-ratios, latency CDFs and windowed learning curves.
+ratios, latency CDFs and windowed learning curves, all kept as the run goes
+in state that does not grow with the run.
 """
 
 from __future__ import annotations
 
-from array import array
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,15 +22,21 @@ class RunMetrics:
     The unlicensed entity is one opportunistic link on the licensed channel's
     parameters and per-RB power, drawn from `unlicensed_rng` when the
     metrics are built and again after every `coherence_time` time steps.
+
+    Every 100 time steps the learning curve takes the mean achievable SE
+    (b/s/Hz) of the allocations attempted in the trailing `window` RL steps
+    (0.0 if none). `trail` holds `(RL step, se_sum before it)` of each
+    attempt since the last sample's window opened.
     """
 
     params: ch.ChannelParams
     unlicensed_rng: np.random.Generator
+    window: int
 
     rl_steps: int = 0
-    # RL step and achievable SE (b/s/Hz) of each attempted allocation.
-    alloc_steps: array = field(default_factory=lambda: array("q"))
-    alloc_se: array = field(default_factory=lambda: array("d"))
+    se_sum: float = 0.0                # achievable SE of every attempt so far
+    trail: deque = field(default_factory=deque)
+    learning_curve: list = field(default_factory=list)   # (time step, window mean)
     time_steps: int = 0
     delivered_bits: int = 0
     missed_bits: int = 0               # bits credited to later-missed requests
@@ -37,7 +44,7 @@ class RunMetrics:
     dropped: int = 0
     missed: int = 0
     satisfied: int = 0
-    latency: dict = field(default_factory=dict)      # type id -> [latency]
+    latency: dict = field(default_factory=dict)      # type id -> {latency: count}
     unlicensed_bits: int = 0
     unlicensed_rb_steps: int = 0       # grid cells reported vacant
     unlicensed_bits_per_rb: tuple = field(init=False)   # the link's bits on each RB
@@ -54,14 +61,15 @@ class RunMetrics:
 
     def record(self, out: StepOutcome):
         if out.alloc_se is not None:
-            self.alloc_steps.append(self.rl_steps)
-            self.alloc_se.append(out.alloc_se)
+            self.trail.append((self.rl_steps, self.se_sum))
+            self.se_sum += out.alloc_se
         self.rl_steps += 1
         self.delivered_bits += out.delivered_bits
         self.accepted += out.accepted
         self.dropped += out.dropped
         for svc_id, latency, was_missed, bits in out.resolved:
-            self.latency.setdefault(svc_id, []).append(latency)
+            counts = self.latency.setdefault(svc_id, {})
+            counts[latency] = counts.get(latency, 0) + 1
             if was_missed:
                 self.missed += 1
                 self.missed_bits += bits
@@ -76,6 +84,12 @@ class RunMetrics:
                     self.unlicensed_bits += bits
             if self.time_steps % self.params.coherence_time == 0:
                 self._redraw_unlicensed()
+            if self.time_steps % 100 == 0:
+                trail = self.trail
+                while trail and trail[0][0] < self.rl_steps - self.window:
+                    trail.popleft()
+                self.learning_curve.append((self.time_steps, (
+                    self.se_sum - trail[0][1]) / len(trail) if trail else 0.0))
 
     # -- derived quantities ------------------------------------------------------
 
@@ -97,32 +111,14 @@ class RunMetrics:
         return acceptance, missed
 
     def latency_cdf(self, service_id: int) -> list[tuple[int, float]]:
-        samples = sorted(self.latency.get(service_id, []))
-        if not samples:
+        counts = self.latency.get(service_id)
+        if not counts:
             raise ValueError(f"no latency samples for service type {service_id}")
-        n = len(samples)
-        out = []
-        for i, lat in enumerate(samples, start=1):
-            if i == n or samples[i] != lat:
-                out.append((lat, i / n))
-        return out
-
-    def windowed_se(self, window: int):
-        """Trailing-window mean of the RL-step SE samples.
-
-        The learning curve averages the achievable-SE samples of the attempted
-        allocations that fall inside the trailing `window` RL steps (idle RBs
-        and empty-buffer steps contribute no sample).  Sampled once every 100
-        time steps; returns a list of (time_step, mean) pairs, with 0.0 for a
-        window holding no allocation attempts.
-        """
-        idx = np.frombuffer(self.alloc_steps, dtype=np.int64)
-        cum = np.concatenate([[0.0], np.cumsum(np.frombuffer(self.alloc_se))])
-        out = []
-        for n in range(100, self.time_steps + 1, 100):
-            hi = np.searchsorted(idx, n * self.params.num_rbs, side="left")
-            lo = np.searchsorted(idx, n * self.params.num_rbs - window, side="left")
-            out.append((n, float((cum[hi] - cum[lo]) / (hi - lo)) if hi > lo else 0.0))
+        n = sum(counts.values())
+        out, seen = [], 0
+        for lat in sorted(counts):
+            seen += counts[lat]
+            out.append((lat, seen / n))
         return out
 
     def summary(self) -> dict:

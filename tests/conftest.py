@@ -22,7 +22,9 @@ from rbshare.metrics import RunMetrics
 # Then the continuity counters recounted from an allocation grid, for
 # `SchedulingEnv.step` and the unlicensed link's share of `RunMetrics`, and
 # the greedy baselines rescanned slot by slot, for `mt_action` and `ml_action`.
-# Last, the fingerprint of a run's artifacts, for the goldens.
+# Then the learning curve and a latency CDF rebuilt at the end of a run from
+# every sample, for the ones `RunMetrics` keeps as the run goes. Last, the
+# fingerprint of a run's artifacts, for the goldens.
 
 
 def sinr(params: ChannelParams, h_k: complex) -> float:
@@ -134,6 +136,32 @@ def oracle_ml(env) -> int:
     return best
 
 
+def reference_learning_curve(steps, values, time_steps, num_rbs, window):
+    """Every 100 time steps, the mean of the attempt SEs `values` whose RL
+    steps `steps` lie in the trailing `window` RL steps, 0.0 if none: by
+    prefix sums and bisection over the whole run."""
+    idx = np.asarray(steps, dtype=np.int64)
+    cum = np.concatenate([[0.0], np.cumsum(np.asarray(values, dtype=np.float64))])
+    out = []
+    for n in range(100, time_steps + 1, 100):
+        hi = np.searchsorted(idx, n * num_rbs, side="left")
+        lo = np.searchsorted(idx, n * num_rbs - window, side="left")
+        out.append((n, float((cum[hi] - cum[lo]) / (hi - lo)) if hi > lo else 0.0))
+    return out
+
+
+def reference_latency_cdf(samples) -> list[tuple[int, float]]:
+    """(latency, fraction of `samples` at most it) at each distinct latency,
+    from the sorted list of every sample."""
+    samples = sorted(samples)
+    n = len(samples)
+    out = []
+    for i, lat in enumerate(samples, start=1):
+        if i == n or samples[i] != lat:
+            out.append((lat, i / n))
+    return out
+
+
 def fingerprint(out_dir: Path) -> dict:
     """SHA-256 of each artifact that carries a number, by file name."""
     prints = {}
@@ -163,9 +191,10 @@ def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.in
     )
 
 
-def env_metrics(env, link_seed=0) -> RunMetrics:
-    """`RunMetrics` for `env`, with an unlicensed link drawn from `link_seed`."""
-    return RunMetrics(env.params, np.random.default_rng(link_seed))
+def env_metrics(env, link_seed=0, window=1000) -> RunMetrics:
+    """`RunMetrics` for `env`, with an unlicensed link drawn from `link_seed`
+    and a learning curve over the trailing `window` RL steps."""
+    return RunMetrics(env.params, np.random.default_rng(link_seed), window)
 
 
 def put_entry(env, slot, type_id=1, ttl=None, remaining=None, bits_per_rb=999):

@@ -24,11 +24,11 @@ def report(num: int, ok: bool, detail: str):
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-def end_of_episode_values(metrics, steps_per_episode: int, window: int = 1000):
-    """Windowed learning-curve values whose trailing window sits entirely
-    inside one episode (the per-episode buffer refill ramp contaminates the
-    earlier sample positions)."""
-    return [v for step, v in metrics.windowed_se(window)
+def end_of_episode_values(metrics, steps_per_episode: int):
+    """Learning-curve values whose trailing window (`run.learning_window`,
+    1000 RL steps) sits entirely inside one episode (the per-episode buffer
+    refill ramp contaminates the earlier sample positions)."""
+    return [v for step, v in metrics.learning_curve
             if step % steps_per_episode == 0]
 
 

@@ -10,9 +10,10 @@ from rbshare.environment import StepOutcome
 from rbshare.metrics import RunMetrics
 
 
-def bare_metrics():
-    """Default channel (W*T = 180 bits, R = 6)."""
-    return RunMetrics(ch.ChannelParams(), np.random.default_rng(0))
+def bare_metrics(window=1000):
+    """Default channel (W*T = 180 bits, R = 6), learning curve over the
+    trailing `window` RL steps."""
+    return RunMetrics(ch.ChannelParams(), np.random.default_rng(0), window)
 
 
 def blank_outcome(**fields):
@@ -115,9 +116,9 @@ class TestLatency:
             m.record(env.step(ml_action(env)))
         # A missed request's latency is its budget, so every sample is within it.
         assert m.latency
-        for svc_id, samples in m.latency.items():
+        for svc_id, counts in m.latency.items():
             u2 = {1: 150, 2: 200, 3: 300}[svc_id]
-            assert all(1 <= lat <= u2 for lat in samples)
+            assert all(1 <= lat <= u2 for lat in counts.keys())
 
     def test_no_samples_raises(self):
         with pytest.raises(ValueError):
@@ -126,36 +127,51 @@ class TestLatency:
 
 class TestWindowedSe:
     def test_constant_stream(self):
-        m = bare_metrics()
+        m = bare_metrics(window=120)
         for n in range(600):
             m.record(blank_outcome(alloc_se=2.5, delivered_bits=450, vacant=last_rb(n)))
-        series = m.windowed_se(window=120)
+        series = m.learning_curve
         assert len(series) == 1
         assert series[0] == (100, pytest.approx(2.5))
 
     def test_window_one_is_raw(self):
-        m = bare_metrics()
+        m = bare_metrics(window=1)
         samples = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0] * 100
         for n, s in enumerate(samples):
             m.record(blank_outcome(alloc_se=s, vacant=last_rb(n)))
-        series = m.windowed_se(window=1)
+        series = m.learning_curve
         assert series[0][1] == samples[100 * 6 - 1]
 
     def test_skips_free_and_empty_steps(self):
         # Idle RBs and empty-buffer steps leave no sample; the window mean
         # covers only the attempted allocations inside it.
-        m = bare_metrics()
+        m = bare_metrics(window=120)
         for n in range(600):
             alloc = 5.0 if n % 2 == 0 else None
             m.record(blank_outcome(alloc_se=alloc, vacant=last_rb(n)))
-        series = m.windowed_se(window=120)
+        series = m.learning_curve
         assert series[0] == (100, pytest.approx(5.0))
 
     def test_empty_window_is_zero(self):
-        m = bare_metrics()
+        m = bare_metrics(window=120)
         for n in range(600):
             m.record(blank_outcome(vacant=last_rb(n)))
-        assert m.windowed_se(window=120) == [(100, 0.0)]
+        assert m.learning_curve == [(100, 0.0)]
+
+    def test_long_run_state_is_bounded(self):
+        # The trail is pruned every 100 time steps, so it never holds more
+        # than the window and the attempts of 100 time steps; a latency table
+        # has one count per latency, at most the type's budget of them.
+        from rbshare import harness, traffic
+        cfg = harness.ExperimentConfig(policy="mt", seed=3, episodes=1,
+                                       steps_per_episode=20_000, eval_set=False)
+        m = harness.run(cfg).train_metrics
+        assert len(m.trail) <= cfg.learning_window + 100 * cfg.channel.num_rbs
+        budgets = {svc.id: svc.max_latency for svc in traffic.service_catalog(cfg.rate)}
+        assert m.latency
+        for svc_id, counts in m.latency.items():
+            assert len(counts) <= budgets[svc_id]
+        assert len(m.learning_curve) == 200
 
 
 class TestUnlicensed:
@@ -195,7 +211,7 @@ class TestMergeAndEmission:
         assert (tmp_path / "summary.json").exists()
         lines = (tmp_path / "learning_curve.csv").read_text().splitlines()
         assert lines[0] == "step,value"
-        assert lines[1:] == [f"{s},{v!r}" for s, v in m.windowed_se(100)]
+        assert lines[1:] == [f"{s},{v!r}" for s, v in m.learning_curve]
         lines = (tmp_path / "latency_type1.csv").read_text().splitlines()
         assert lines[0] == "latency,cdf"
         assert lines[1:] == [f"{lat},{frac!r}" for lat, frac in m.latency_cdf(1)]

@@ -1,7 +1,9 @@
 """Property tests: over random scenarios and policies, the accounting that
 `RunMetrics` builds from `SchedulingEnv.step` closes against recounts made
 apart from it, every encoded state stays in its stated ranges, and a seed
-gives the same artifacts twice; over random chains of transitions, the
+gives the same artifacts twice; over random outcome streams, the learning
+curve and latency CDFs that `RunMetrics` keeps as the run goes equal the ones
+rebuilt from every sample at the end; over random chains of transitions, the
 replay memory samples what a ring of separate state and next-state arrays
 would."""
 
@@ -14,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GridRecorder, Ledger, TwoArrayReplay, continuity_counters, env_metrics, \
-    fingerprint, make_env, reference_link_bits
+    fingerprint, make_env, reference_latency_cdf, reference_learning_curve, reference_link_bits
 from rbshare import harness
 from rbshare import traffic as tr
 from rbshare.agent import MLP, AgentConfig, DQNPolicy, ReplayMemory, dqn_targets
 from rbshare.channel import ChannelParams
+from rbshare.environment import StepOutcome
+from rbshare.metrics import RunMetrics
 
 
 @st.composite
@@ -171,6 +175,61 @@ def test_seed_determines_artifacts(cfg):
             prints.append(fingerprint(Path(tmp) / name))
     assert "summary.json" in prints[0]
     assert prints[0] == prints[1]
+
+
+@st.composite
+def outcome_streams(draw):
+    """R, the learning window (1, 100 R, longer than the run or any other),
+    the run's length in time steps, how often an RL step attempts an
+    allocation, and which kinds of SE an attempt may have."""
+    num_rbs = draw(st.sampled_from([1, 6, 25]))
+    time_steps = draw(st.integers(0, 800))
+    return {
+        "num_rbs": num_rbs,
+        "time_steps": time_steps,
+        "window": draw(st.one_of(st.sampled_from([1, 100 * num_rbs, time_steps * num_rbs + 1]),
+                                 st.integers(1, 8000))),
+        "p_attempt": draw(st.floats(0.0, 1.0)),
+        "kinds": draw(st.lists(st.sampled_from(["zero", "top", "uniform"]),
+                               min_size=1, unique=True)),
+        "seed": draw(st.integers(0, 2 ** 32 - 1)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(outcome_streams())
+def test_learning_curve_matches_end_of_run_oracle(s):
+    """The learning curve kept as the run goes is, bit for bit, the one
+    rebuilt from every attempt by prefix sums at the end."""
+    R, kinds = s["num_rbs"], s["kinds"]
+    rng = np.random.default_rng(s["seed"])
+    m = RunMetrics(ChannelParams(num_rbs=R), np.random.default_rng(0), s["window"])
+    steps, values = [], []
+    for k in range(s["time_steps"] * R):
+        se = None
+        if rng.random() < s["p_attempt"]:
+            kind = kinds[int(rng.integers(len(kinds)))]
+            se = (0.0 if kind == "zero" else 999 / 180 if kind == "top"
+                  else float(rng.uniform(0.0, 5.55)))
+            steps.append(k)
+            values.append(se)
+        m.record(StepOutcome(reward=0.0, terminal=False, alloc_se=se,
+                             vacant=[False] * R if k % R == R - 1 else None))
+    want = reference_learning_curve(steps, values, s["time_steps"], R, s["window"])
+    assert repr(m.learning_curve) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.integers(1, 5), st.integers(1, 300)), max_size=20),
+                min_size=1).filter(any))
+def test_latency_cdf_matches_sorted_oracle(batches):
+    """The CDF from per-latency counts is the one from the sorted samples."""
+    m = RunMetrics(ChannelParams(), np.random.default_rng(0), 1000)
+    for batch in batches:
+        m.record(StepOutcome(reward=0.0, terminal=False,
+                             resolved=[(2, lat, False, 0) for lat in batch]))
+    samples = [lat for batch in batches for lat in batch]
+    assert repr(m.latency_cdf(2)) == repr(reference_latency_cdf(samples))
 
 
 @settings(max_examples=200, deadline=None)
