@@ -250,8 +250,6 @@ class DQNPolicy:
         self.memory = ReplayMemory(config.replay_capacity, state_dim)
         self.state: np.ndarray | None = None     # encoded current state
         self.explore_rng = explore_rng
-        self.train_steps = 0
-        self.frozen = False             # eval-time learning freeze
         self.eps_override: float | None = None
 
     @property
@@ -267,17 +265,17 @@ class DQNPolicy:
         return select_action(self.net, self.state, self.epsilon, self.explore_rng)
 
     def observe(self, env: SchedulingEnv, action: int, reward: float, terminal: bool):
+        c = self.config
         next_state = env.encode()
         self.memory.push(self.state, action, reward, next_state, terminal)
         self.state = None if terminal else next_state
-        if self.frozen or len(self.memory) < self.config.min_observations:
+        if len(self.memory) < c.min_observations:
             return
-        batch = self.memory.sample(self.config.minibatch, self.explore_rng)
-        targets = dqn_targets(batch, self.target, self.config.gamma)
-        self.net.train_minibatch(batch.states, batch.actions, targets,
-                                 self.config.learning_rate)
-        self.train_steps += 1
-        if self.train_steps % self.config.target_sync == 0:
+        batch = self.memory.sample(c.minibatch, self.explore_rng)
+        targets = dqn_targets(batch, self.target, c.gamma)
+        self.net.train_minibatch(batch.states, batch.actions, targets, c.learning_rate)
+        # The pushes from the `min_observations`-th on have each trained once.
+        if (self.memory.pushed - c.min_observations + 1) % c.target_sync == 0:
             sync_target(self.net, self.target)
 
 

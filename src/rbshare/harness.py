@@ -51,9 +51,7 @@ class ExperimentConfig:
     steps_per_episode: int = 500
     seed: int = 0
     eval_set: bool = True        # run the second (evaluation) set
-    freeze_eval: bool = False    # disable learning during the evaluation set
     checkpoint: bool = False
-    learning_window: int = 1000  # RL steps, for the emitted learning curve
 
     def __post_init__(self):
         """Check each key once, in `_KEYS` order: its type (that of its
@@ -158,9 +156,7 @@ _KEYS = {
     "run.steps_per_episode": ("root", "steps_per_episode", int, "[1, inf)"),
     "run.seed": ("root", "seed", int, "[0, inf)"),
     "run.eval_set": ("root", "eval_set", _parse_bool, _BOOL),
-    "run.freeze_eval": ("root", "freeze_eval", _parse_bool, _BOOL),
     "run.checkpoint": ("root", "checkpoint", _parse_bool, _BOOL),
-    "run.learning_window": ("root", "learning_window", int, "[1, inf)"),
 }
 
 
@@ -221,9 +217,8 @@ def config_echo(config: ExperimentConfig) -> str:
 
 @dataclass
 class Run:
-    """One run's state, played set by set and episode by episode by `run`."""
+    """One run's state but its environment, which only `run`'s loop holds."""
     config: ExperimentConfig
-    env: SchedulingEnv
     policy: object
     train_metrics: RunMetrics
     eval_metrics: RunMetrics    # the set reported: the one running, or the last one played
@@ -364,16 +359,15 @@ def run(config: ExperimentConfig, out_dir=None) -> Run:
                          np.random.default_rng(explore_ss),
                          np.random.default_rng(policy_ss))
     n_sets = 2 if config.eval_set and config.policy == "dqn" else 1
-    sets = [RunMetrics(config.channel, np.random.default_rng(s), config.learning_window)
+    sets = [RunMetrics(config.channel, np.random.default_rng(s))
             for s in (unlic_train_ss, unlic_eval_ss)[:n_sets]]
-    run = Run(config, env, policy, sets[0], sets[0], out_path)
+    run = Run(config, policy, sets[0], sets[0], out_path)
     rl_steps = config.steps_per_episode * env.R
     with _deferred_signals() as caught:
         try:
             for metrics in sets:
                 if metrics is not run.train_metrics:
                     policy.eps_override = config.agent.eps_inf
-                    policy.frozen = config.freeze_eval
                 run.eval_metrics = metrics
                 # Bound once per set. `env.reset` is looked up at every episode, so
                 # a patched class method (the benchmark's first-step hook) applies.
@@ -404,8 +398,8 @@ _SCENARIO_KEYS = ("num_rbs", "buffer_len", "continuity_len", "rate")
 _COMPARED = ("se_licensed_adjusted", "se_unlicensed", "acceptance_ratio", "missed_ratio")
 # Every summary key `compare` reads, with the types its value may have.
 _SUMMARY_TYPES = {"num_rbs": int, "buffer_len": int, "continuity_len": int, "rate": str,
-                  "policy": str, "licensed_rbs": (int, type(None)),
-                  **dict.fromkeys(_COMPARED, (int, float))}
+                  "policy": str, "licensed_rbs": (int, type(None)), "seed": int,
+                  **dict.fromkeys(_COMPARED + ("alpha", "beta", "delta"), (int, float))}
 
 
 def _read_summary(artifact_dir) -> dict:
@@ -424,6 +418,8 @@ def _read_summary(artifact_dir) -> dict:
     if status != "ok":
         ended = "diverged" if status == "diverged" else f"was {status}"
         raise ConfigError(f"{path}: the run {ended}, so it has no result to compare")
+    if summary["delta"] == "inf":   # how `_record` writes an infinite delta
+        summary["delta"] = math.inf
     for key, kind in _SUMMARY_TYPES.items():    # JSON's true and false are not numbers
         if not isinstance(summary[key], kind) or isinstance(summary[key], bool):
             raise ConfigError(f"{path}: {key}: wrong type, got {summary[key]!r}")
@@ -434,7 +430,8 @@ def compare(artifact_dirs: list) -> str:
     """Side-by-side table of the headline metrics across runs.
 
     Runs must share the scenario parameters (R, L, C, rate); rows group
-    policies, aggregating seeds as mean +/- sample std.
+    policies, aggregating seeds as mean +/- sample std, so the runs of a row
+    must share the reward weights and differ in their seeds.
     """
     summaries = [_read_summary(d) for d in artifact_dirs]
     if len(summaries) < 1:
@@ -454,6 +451,10 @@ def compare(artifact_dirs: list) -> str:
     header = f"{'policy':<14}" + "".join(f"{m:>28}" for m in _COMPARED)
     lines = [header]
     for label, rows in sorted(groups.items()):
+        if len({(r["alpha"], r["beta"], r["delta"]) for r in rows}) > 1:
+            raise ConfigError(f"{label}: runs with different reward weights in one row")
+        if len({r["seed"] for r in rows}) < len(rows):
+            raise ConfigError(f"{label}: a seed appears twice in one row")
         cells = [f"{label:<14}"]
         for m in _COMPARED:
             vals = np.array([r[m] for r in rows], dtype=float)

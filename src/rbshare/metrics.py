@@ -25,13 +25,13 @@ class RunMetrics:
 
     Every 100 time steps the learning curve takes the mean achievable SE
     (b/s/Hz) of the allocations attempted in the trailing `window` RL steps
-    (0.0 if none). `trail` holds `(RL step, se_sum before it)` of each
-    attempt since the last sample's window opened.
+    (0.0 if none): 1 000 in a run, others in tests. `trail` holds `(RL step,
+    se_sum before it)` of each attempt since the last sample's window opened.
     """
 
     params: ch.ChannelParams
     unlicensed_rng: np.random.Generator
-    window: int
+    window: int = 1000
 
     rl_steps: int = 0
     se_sum: float = 0.0                # achievable SE of every attempt so far

@@ -25,9 +25,9 @@ def report(num: int, ok: bool, detail: str):
 
 
 def end_of_episode_values(metrics, steps_per_episode: int):
-    """Learning-curve values whose trailing window (`run.learning_window`,
-    1000 RL steps) sits entirely inside one episode (the per-episode buffer
-    refill ramp contaminates the earlier sample positions)."""
+    """Learning-curve values whose trailing window (1 000 RL steps) sits
+    entirely inside one episode (the per-episode buffer refill ramp
+    contaminates the earlier sample positions)."""
     return [v for step, v in metrics.learning_curve
             if step % steps_per_episode == 0]
 

@@ -1,5 +1,4 @@
 import copy
-import math
 import os
 import re
 import subprocess
@@ -191,16 +190,19 @@ class TestTargetsAndSync:
         pol = ag.DQNPolicy(env.state_dim(), env.L + 1, cfg,
                            np.random.default_rng(7), np.random.default_rng(8))
         synced_at = []
-        for i in range(1, 16):
+        for _ in range(15):
             action = pol.act(env)
             out = env.step(action)
             pol.observe(env, action, out.reward, out.terminal)
             if all(np.array_equal(a, b) for a, b in
                    zip(pol.net.weights, pol.target.weights)):
-                synced_at.append(pol.train_steps)
-        assert pol.train_steps == 15 - cfg.min_observations + 1
-        multiples = set(range(cfg.target_sync, pol.train_steps + 1, cfg.target_sync))
-        assert multiples and multiples <= set(synced_at)
+                synced_at.append(pol.memory.pushed)
+        # The nets match through the warm-up, then each push trains and the
+        # target syncs on every `target_sync`-th training step.
+        warm_up = list(range(1, cfg.min_observations))
+        syncs = list(range(cfg.min_observations - 1 + cfg.target_sync, 16, cfg.target_sync))
+        assert syncs == [6, 9, 12, 15]
+        assert synced_at == warm_up + syncs
 
 
 class TestEpsilon:
@@ -452,11 +454,11 @@ def steps(n):
 
 
 steps(config.min_observations + 50)
-trained = policy.train_steps
+pushed = policy.memory.pushed   # past the warm-up, every push trains once
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 steps(300)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(faults / (policy.train_steps - trained))
+print(faults / (policy.memory.pushed - pushed))
 """
 
 

@@ -6,7 +6,6 @@ import re
 import signal
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ NON_DEFAULT_VALUES = {
     "agent.eps0": "0.5", "agent.eps_inf": "0.05", "agent.eps_decay_steps": "500",
     "run.policy": "mt+f", "run.licensed_rbs": "5", "run.episodes": "3",
     "run.steps_per_episode": "40", "run.seed": "9", "run.eval_set": "false",
-    "run.freeze_eval": "true", "run.checkpoint": "true", "run.learning_window": "200",
+    "run.checkpoint": "true",
 }
 NON_DEFAULT = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT_VALUES.items())
 
@@ -92,8 +91,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ":"):
             load_config(write_config(tmp_path, setting + "\n"))
 
-    # `learning_window = 0` used to load and raise only after the whole run.
-    @pytest.mark.parametrize("key", ["run.learning_window"])
+    # A run length below one is refused when the config loads, not mid-run.
+    @pytest.mark.parametrize("key", ["run.episodes", "run.steps_per_episode"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_run_length_below_one_rejected(self, tmp_path, key, value):
         message = f"{key}: must be in [1, inf), got {value}"
@@ -200,7 +199,7 @@ class TestValidateTypes:
 
     @pytest.mark.parametrize("key, value", [
         ("reward.alpha", 2), ("channel.tx_power", np.float64(0.2)),
-        ("agent.hidden", (8,)), ("run.freeze_eval", True),
+        ("agent.hidden", (8,)), ("run.checkpoint", True),
     ])
     def test_right_type_passes(self, key, value):
         assert harness._values(with_value(key, value))[key] == value
@@ -209,7 +208,8 @@ class TestValidateTypes:
 # Every key `compare` reads, each with a value of its type.
 SUMMARY = {"num_rbs": 6, "buffer_len": 10, "continuity_len": 2, "rate": "high",
            "policy": "mt", "licensed_rbs": None, "se_licensed_adjusted": 1.5,
-           "se_unlicensed": 2, "acceptance_ratio": 1.0, "missed_ratio": 0.0}
+           "se_unlicensed": 2, "acceptance_ratio": 1.0, "missed_ratio": 0.0,
+           "alpha": 1.0, "beta": 0, "delta": "inf", "seed": 0}
 
 
 def tiny_config(**kw):
@@ -396,8 +396,7 @@ class TestEncodeOnDemand:
         assert artifacts.train_metrics.time_steps == 2 * 40
         assert encodes == []
 
-    @pytest.mark.parametrize("freeze_eval", [False, True])
-    def test_dqn_encodes_once_per_step(self, encodes, monkeypatch, freeze_eval):
+    def test_dqn_encodes_once_per_step(self, encodes, monkeypatch):
         policies, pushed = [], []
         make_policy = harness.make_policy
 
@@ -413,14 +412,14 @@ class TestEncodeOnDemand:
             return policies[-1]
 
         monkeypatch.setattr(harness, "make_policy", kept_policy)
-        cfg = tiny_config(policy="dqn", eval_set=True, freeze_eval=freeze_eval)
+        cfg = tiny_config(policy="dqn", eval_set=True)
         harness.run(cfg)
         (policy,) = policies
         steps = cfg.steps_per_episode * cfg.channel.num_rbs
         # Per episode of either set: one fresh encode before the first step
         # (rl_step 0), then one after each step.
         assert encodes == list(range(steps + 1)) * (2 * cfg.episodes)
-        assert policy.train_steps > 0
+        assert policy.memory.pushed >= cfg.agent.min_observations   # it trained
 
         mem = policy.memory
         n = len(mem)
@@ -592,6 +591,20 @@ class TestCompare:
         lines = table.splitlines()
         assert len(lines) == 3  # header + two policy rows
 
+    # A row's mean +/- std is over seeds of one setting: two reward weights
+    # used to share a row, and a directory given twice to count twice.
+    def test_row_mixing_reward_weights_rejected(self, tmp_path):
+        harness.run(tiny_config(), out_dir=tmp_path / "a")
+        harness.run(tiny_config(beta=2.0), out_dir=tmp_path / "b")
+        message = "mt: runs with different reward weights in one row"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness.compare([tmp_path / "a", tmp_path / "b"])
+
+    def test_row_repeating_a_seed_rejected(self, tmp_path):
+        harness.run(tiny_config(), out_dir=tmp_path)
+        with pytest.raises(ConfigError, match="^mt: a seed appears twice in one row$"):
+            harness.compare([tmp_path, tmp_path])
+
     def test_no_summary_names_directory(self, tmp_path):
         message = f"no summary.json in {tmp_path}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -620,10 +633,11 @@ class TestCli:
         assert summary["status"] == "ok"
         assert "se_licensed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key", ["run.learning_window"])
+    @pytest.mark.parametrize("key", ["run.episodes", "run.steps_per_episode"])
     def test_run_length_zero_exit_code(self, tmp_path, capsys, key):
-        cfg = write_config(tmp_path, f"{key} = 0\nrun.episodes = 1\n"
-                                     "run.steps_per_episode = 20\nrun.policy = mt\n")
+        settings = {"run.episodes": 1, "run.steps_per_episode": 20, key: 0}
+        cfg = write_config(tmp_path, "run.policy = mt\n" + "".join(
+            f"{k} = {v}\n" for k, v in settings.items()))
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err

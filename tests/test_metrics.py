@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -166,7 +164,7 @@ class TestWindowedSe:
         cfg = harness.ExperimentConfig(policy="mt", seed=3, episodes=1,
                                        steps_per_episode=20_000, eval_set=False)
         m = harness.run(cfg).train_metrics
-        assert len(m.trail) <= cfg.learning_window + 100 * cfg.channel.num_rbs
+        assert len(m.trail) <= m.window + 100 * cfg.channel.num_rbs
         budgets = {svc.id: svc.max_latency for svc in traffic.service_catalog(cfg.rate)}
         assert m.latency
         for svc_id, counts in m.latency.items():
@@ -204,8 +202,7 @@ class TestMergeAndEmission:
         from rbshare import harness
 
         cfg = harness.ExperimentConfig(policy="mt", seed=8, episodes=1,
-                                       steps_per_episode=200, eval_set=False,
-                                       learning_window=100)
+                                       steps_per_episode=200, eval_set=False)
         artifacts = harness.run(cfg, out_dir=tmp_path)
         m = artifacts.train_metrics
         assert (tmp_path / "summary.json").exists()

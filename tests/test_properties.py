@@ -125,7 +125,7 @@ def small_configs(draw) -> harness.ExperimentConfig:
         # Short episodes, and ones long enough for a learning-curve row.
         steps_per_episode=draw(st.one_of(st.integers(1, 10), st.integers(100, 160))),
         seed=draw(st.integers(0, 2 ** 32 - 1)),
-        checkpoint=True, learning_window=50,
+        checkpoint=True,
         agent=AgentConfig(hidden=(16,), min_observations=32, replay_capacity=1000))
 
 
