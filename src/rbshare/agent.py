@@ -148,11 +148,12 @@ class ReplayMemory:
     """Fixed-capacity ring buffer with uniform minibatch sampling.
 
     Each state is stored once, in preallocated arrays that take up memory
-    only as rows are written. A push after a non-terminal one must carry
-    that push's next state (the same object, or equal values), else it
-    raises `ValueError`. So a row's next state is the following row's state,
-    and only the newest row's is kept apart. A terminal row's next state is
-    not kept: `sample` gives the next episode's first state in its place.
+    only as rows are written. `state` is the state the next push starts
+    from: a push stores it as its row's state, then holds its own next state
+    there, or `None` after a terminal one, until the next episode's first
+    state is set. So a row's next state is the following row's state, and
+    only the newest row's is kept apart. A terminal row's next state is not
+    kept: `sample` gives the next episode's first state in its place.
     """
 
     def __init__(self, capacity: int, state_dim: int):
@@ -163,27 +164,22 @@ class ReplayMemory:
         self.rewards = np.empty(capacity, dtype=np.float64)
         self.terminal = np.empty(capacity, dtype=bool)
         self.pushed = 0         # transitions ever pushed; the DQN's ε step
-        self._chain = None      # the last push's next_state; None before any and after an end
+        self.state: np.ndarray | None = None    # the current state; None at an episode's start
 
-    def push(self, state, action: int, reward: float, next_state, terminal: bool):
-        if self._chain is not None and state is not self._chain \
-                and not np.array_equal(np.asarray(state, np.float32), self.last_next_state):
-            raise ValueError("state is not the previous transition's next state")
+    def push(self, action: int, reward: float, next_state, terminal: bool):
         i = self.pushed % self.capacity    # once full, the oldest row
-        self.states[i] = state
+        self.states[i] = self.state
         self.actions[i] = action
         self.rewards[i] = reward
         self.last_next_state[:] = next_state
         self.terminal[i] = terminal
         self.pushed += 1
-        self._chain = None if terminal else next_state
+        self.state = None if terminal else next_state
 
     def __len__(self) -> int:
         return min(self.pushed, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        if batch_size > len(self):
-            raise ValueError("not enough transitions to sample a minibatch")
         idx = rng.integers(0, len(self), size=batch_size)
         next_states = self.states[(idx + 1) % self.capacity]
         next_states[idx == (self.pushed - 1) % self.capacity] = self.last_next_state
@@ -237,8 +233,9 @@ class DQNPolicy:
     """ε-greedy DQN with replay memory and a periodically synced target net.
 
     The policy encodes the environment's state itself, once per RL step: the
-    state `observe` encodes after a step is the one the next `act` decides on.
-    A terminal step drops it, so an episode's first state is encoded afresh.
+    state `observe` pushes as a step's next state is the memory's `state`,
+    which the next `act` decides on. A terminal push drops it, so an
+    episode's first state is encoded afresh.
     """
 
     def __init__(self, state_dim: int, n_actions: int, config: AgentConfig,
@@ -248,7 +245,6 @@ class DQNPolicy:
         self.net = MLP(sizes, rng=init_rng, init_std=config.init_std, dtype=np.float32)
         self.target = copy.deepcopy(self.net)
         self.memory = ReplayMemory(config.replay_capacity, state_dim)
-        self.state: np.ndarray | None = None     # encoded current state
         self.explore_rng = explore_rng
         self.eps_override: float | None = None
 
@@ -260,15 +256,13 @@ class DQNPolicy:
         return epsilon_value(self.memory.pushed, c.eps0, c.eps_inf, c.eps_decay_steps)
 
     def act(self, env: SchedulingEnv) -> int:
-        if self.state is None:
-            self.state = env.encode()
-        return select_action(self.net, self.state, self.epsilon, self.explore_rng)
+        if self.memory.state is None:
+            self.memory.state = env.encode()
+        return select_action(self.net, self.memory.state, self.epsilon, self.explore_rng)
 
     def observe(self, env: SchedulingEnv, action: int, reward: float, terminal: bool):
         c = self.config
-        next_state = env.encode()
-        self.memory.push(self.state, action, reward, next_state, terminal)
-        self.state = None if terminal else next_state
+        self.memory.push(action, reward, env.encode(), terminal)
         if len(self.memory) < c.min_observations:
             return
         batch = self.memory.sample(c.minibatch, self.explore_rng)
@@ -331,11 +325,11 @@ def random_policy(rng: np.random.Generator) -> CallablePolicy:
     return CallablePolicy(act)
 
 
-def fixed_split(policy, licensed_rbs: int) -> CallablePolicy:
-    """Reserve RBs above `licensed_rbs` permanently for unlicensed use.
-    `policy` is a baseline that keeps no state, so it observes nothing."""
+def fixed_split(action, licensed_rbs: int) -> CallablePolicy:
+    """Reserve RBs above `licensed_rbs` permanently for unlicensed use;
+    `action` (`mt_action` or `ml_action`) decides on the others."""
 
     def act(env: SchedulingEnv) -> int:
-        return policy.act(env) if env.psi <= licensed_rbs else 0
+        return action(env) if env.psi <= licensed_rbs else 0
 
     return CallablePolicy(act)

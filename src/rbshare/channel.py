@@ -98,8 +98,6 @@ def _sqrt_correlation(omega: float, num_rbs: int) -> np.ndarray:
     idx = np.arange(num_rbs)
     phi = omega ** np.abs(idx[:, None] - idx[None, :])
     eigval, eigvec = np.linalg.eigh(phi)
-    if eigval.min() < -1e-9:
-        raise ValueError(f"fading covariance not PSD (min eigenvalue {eigval.min()})")
     eigval = np.clip(eigval, 0.0, None)
     root = ((eigvec * np.sqrt(eigval)) @ eigvec.T).astype(np.complex128)
     root.setflags(write=False)

@@ -4,7 +4,9 @@ One episode = I time steps; each time step = R RL steps, one per resource
 block. An action picks a buffer slot for the current RB (0 = leave it free).
 TTLs tick, continuity counters track trailing vacancies, and the reward is
 the per-time-step weighted mix of throughput, vacancy continuity and the
-latency pressure factor, emitted on the last RB of each time step.
+latency pressure factor, emitted on the last RB of each time step. An
+action naming an empty slot while the buffer holds a request also pays -1
+on its own RB, which stays free.
 """
 
 from __future__ import annotations

@@ -235,8 +235,10 @@ def make_policy(config: ExperimentConfig, state_dim: int,
                          init_rng, explore_rng)
     if name == "random":
         return random_policy(policy_rng)
-    greedy = CallablePolicy(mt_action if name.startswith("mt") else ml_action)
-    return fixed_split(greedy, config.licensed_rbs) if name.endswith("+f") else greedy
+    action = mt_action if name.startswith("mt") else ml_action
+    if name.endswith("+f"):
+        return fixed_split(action, config.licensed_rbs)
+    return CallablePolicy(action)
 
 
 def _write_atomic(path: Path, write, mode: str = "w"):

@@ -402,13 +402,14 @@ class TestEncodeOnDemand:
 
         def kept_policy(*args):
             policies.append(make_policy(*args))
-            push = policies[-1].memory.push
+            memory = policies[-1].memory
+            push = memory.push
 
-            def recorded_push(state, action, reward, next_state, terminal):
-                pushed.append((state.copy(), next_state.copy()))
-                push(state, action, reward, next_state, terminal)
+            def recorded_push(action, reward, next_state, terminal):
+                pushed.append((memory.state.copy(), next_state.copy()))
+                push(action, reward, next_state, terminal)
 
-            policies[-1].memory.push = recorded_push
+            memory.push = recorded_push
             return policies[-1]
 
         monkeypatch.setattr(harness, "make_policy", kept_policy)
@@ -439,6 +440,8 @@ class TestEncodeOnDemand:
         fresh[-1] = 1 / cfg.channel.num_rbs
         for first in [0, *(ends[:-1] + 1)]:
             assert np.array_equal(mem.states[first], fresh)
+        # Each episode ends with a terminal push, which drops the current state.
+        assert mem.state is None
 
 
 def signal_at(monkeypatch, *calls, signum=signal.SIGINT):

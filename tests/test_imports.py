@@ -45,8 +45,8 @@ def test_detector_flags_only_unread_names():
     assert unused_imports(source) == ["line 2: math", "line 5: loads"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+                         + sorted((ROOT / "perfbench").glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

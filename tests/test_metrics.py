@@ -3,7 +3,7 @@ import pytest
 
 from conftest import Ledger, make_env
 from rbshare import channel as ch
-from rbshare.agent import CallablePolicy, fixed_split, mt_action
+from rbshare.agent import fixed_split, mt_action
 from rbshare.environment import StepOutcome
 from rbshare.metrics import RunMetrics
 
@@ -190,7 +190,7 @@ class TestUnlicensed:
         env = make_env(steps=30, seed=6)
         env.reset()
         m = bare_metrics()
-        policy = fixed_split(CallablePolicy(mt_action), licensed_rbs=4)
+        policy = fixed_split(mt_action, licensed_rbs=4)
         while not env.done:
             m.record(env.step(policy.act(env)))
         # RBs 5-6 are permanently free: they qualify on every step after C=2.

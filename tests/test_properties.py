@@ -242,14 +242,18 @@ def test_replay_matches_two_array_oracle(capacity, state_dim, data, seed):
     mem, oracle = ReplayMemory(capacity, state_dim), TwoArrayReplay(capacity, state_dim)
     # Transition k carries action k, so a sampled row names its push.
     state = rng.standard_normal(state_dim).astype(np.float32)
+    mem.state = state
     for k in range(n):
         next_state = rng.standard_normal(state_dim).astype(np.float32)
         reward = float(rng.standard_normal())
-        for ring in (mem, oracle):
-            ring.push(state, k, reward, next_state, terminal[k])
+        assert mem.state is state
+        mem.push(k, reward, next_state, terminal[k])
+        oracle.push(state, k, reward, next_state, terminal[k])
         # A new episode starts from a state of its own.
-        state = rng.standard_normal(state_dim).astype(np.float32) if terminal[k] \
-            else next_state
+        if terminal[k]:
+            state = mem.state = rng.standard_normal(state_dim).astype(np.float32)
+        else:
+            state = next_state
     assert len(mem) == len(oracle) == min(n, capacity)
 
     net = MLP([state_dim, 5, 3], rng=rng, dtype=np.float32)
