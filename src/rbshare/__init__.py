@@ -1,6 +1,6 @@
 """Downlink resource-block scheduling simulator with spectrum-sharing metrics.
 
-Subpackages:
+Modules:
     channel     -- fading, SINR, CQI link adaptation
     traffic     -- Poisson request generation
     environment -- the scheduling MDP (buffer, continuity, rewards)

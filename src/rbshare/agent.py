@@ -246,12 +246,9 @@ class DQNPolicy:
         self.target = copy.deepcopy(self.net)
         self.memory = ReplayMemory(config.replay_capacity, state_dim)
         self.explore_rng = explore_rng
-        self.eps_override: float | None = None
 
     @property
     def epsilon(self) -> float:
-        if self.eps_override is not None:
-            return self.eps_override
         c = self.config
         return epsilon_value(self.memory.pushed, c.eps0, c.eps_inf, c.eps_decay_steps)
 

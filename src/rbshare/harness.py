@@ -16,7 +16,7 @@ import operator
 import os
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -368,8 +368,8 @@ def run(config: ExperimentConfig, out_dir=None) -> Run:
     with _deferred_signals() as caught:
         try:
             for metrics in sets:
-                if metrics is not run.train_metrics:
-                    policy.eps_override = config.agent.eps_inf
+                if metrics is not run.train_metrics:   # exploration pinned at its floor
+                    policy.config = replace(policy.config, eps0=policy.config.eps_inf)
                 run.eval_metrics = metrics
                 # Bound once per set. `env.reset` is looked up at every episode, so
                 # a patched class method (the benchmark's first-step hook) applies.
@@ -396,16 +396,13 @@ def run(config: ExperimentConfig, out_dir=None) -> Run:
     return run
 
 
-_SCENARIO_KEYS = ("num_rbs", "buffer_len", "continuity_len", "rate")
 _COMPARED = ("se_licensed_adjusted", "se_unlicensed", "acceptance_ratio", "missed_ratio")
-# Every summary key `compare` reads, with the types its value may have.
-_SUMMARY_TYPES = {"num_rbs": int, "buffer_len": int, "continuity_len": int, "rate": str,
-                  "policy": str, "licensed_rbs": (int, type(None)), "seed": int,
-                  **dict.fromkeys(_COMPARED + ("alpha", "beta", "delta"), (int, float))}
 
 
-def _read_summary(artifact_dir) -> dict:
-    """One run's `summary.json`, with every key `compare` reads, each of its type."""
+def _read_run(artifact_dir) -> tuple[ExperimentConfig, dict]:
+    """One run's config, loaded from its `config_echo.txt`, and its
+    `summary.json`, which must record an "ok" run and each compared metric
+    as a number."""
     path = Path(artifact_dir) / "summary.json"
     if not path.exists():
         raise ConfigError(f"no summary.json in {artifact_dir}")
@@ -413,19 +410,16 @@ def _read_summary(artifact_dir) -> dict:
         summary = json.loads(path.read_text())
     except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"{path}: not a JSON file ({exc})") from exc
-    if not isinstance(summary, dict) or not summary.keys() >= _SUMMARY_TYPES.keys():
+    if not isinstance(summary, dict) or not summary.keys() >= {"status", *_COMPARED}:
         raise ConfigError(f"{path}: not a run summary "
-                          f"(needs the keys {', '.join(_SUMMARY_TYPES)})")
-    status = summary.get("status", "ok")    # a summary older than the key is "ok"
-    if status != "ok":
-        ended = "diverged" if status == "diverged" else f"was {status}"
+                          f"(needs the keys status, {', '.join(_COMPARED)})")
+    if summary["status"] != "ok":
+        ended = "diverged" if summary["status"] == "diverged" else f"was {summary['status']}"
         raise ConfigError(f"{path}: the run {ended}, so it has no result to compare")
-    if summary["delta"] == "inf":   # how `_record` writes an infinite delta
-        summary["delta"] = math.inf
-    for key, kind in _SUMMARY_TYPES.items():    # JSON's true and false are not numbers
-        if not isinstance(summary[key], kind) or isinstance(summary[key], bool):
+    for key in _COMPARED:   # JSON's true and false are not numbers
+        if not isinstance(summary[key], (int, float)) or isinstance(summary[key], bool):
             raise ConfigError(f"{path}: {key}: wrong type, got {summary[key]!r}")
-    return summary
+    return load_config(Path(artifact_dir) / "config_echo.txt"), summary
 
 
 def compare(artifact_dirs: list) -> str:
@@ -433,33 +427,33 @@ def compare(artifact_dirs: list) -> str:
 
     Runs must share the scenario parameters (R, L, C, rate); rows group
     policies, aggregating seeds as mean +/- sample std, so the runs of a row
-    must share the reward weights and differ in their seeds.
+    must share every config key but `run.seed`, and differ in that.
     """
-    summaries = [_read_summary(d) for d in artifact_dirs]
-    if len(summaries) < 1:
+    runs = [_read_run(d) for d in artifact_dirs]
+    if not runs:
         raise ConfigError("nothing to compare")
-    scenario = {k: summaries[0][k] for k in _SCENARIO_KEYS}
-    for s in summaries[1:]:
-        if {k: s[k] for k in _SCENARIO_KEYS} != scenario:
-            raise ConfigError("mismatched scenario parameters across runs")
+    if len({(c.channel.num_rbs, c.buffer_len, c.continuity_len, c.rate) for c, _ in runs}) > 1:
+        raise ConfigError("mismatched scenario parameters across runs")
 
     groups: dict = {}
-    for s in summaries:
-        label = s["policy"]
-        if s["licensed_rbs"]:
-            label += f"({s['licensed_rbs']}/{s['num_rbs'] - s['licensed_rbs']})"
-        groups.setdefault(label, []).append(s)
+    for config, summary in runs:
+        label = config.policy
+        if label.endswith("+f"):
+            label += f"({config.licensed_rbs}/{config.channel.num_rbs - config.licensed_rbs})"
+        groups.setdefault(label, []).append((config, summary))
 
     header = f"{'policy':<14}" + "".join(f"{m:>28}" for m in _COMPARED)
     lines = [header]
     for label, rows in sorted(groups.items()):
-        if len({(r["alpha"], r["beta"], r["delta"]) for r in rows}) > 1:
-            raise ConfigError(f"{label}: runs with different reward weights in one row")
-        if len({r["seed"] for r in rows}) < len(rows):
+        values = [_values(config) for config, _ in rows]
+        differ = [key for key in _KEYS if len({v[key] for v in values}) > 1 and key != "run.seed"]
+        if differ:
+            raise ConfigError(f"{label}: runs in one row differ in {', '.join(differ)}")
+        if len({config.seed for config, _ in rows}) < len(rows):
             raise ConfigError(f"{label}: a seed appears twice in one row")
         cells = [f"{label:<14}"]
         for m in _COMPARED:
-            vals = np.array([r[m] for r in rows], dtype=float)
+            vals = np.array([summary[m] for _, summary in rows], dtype=float)
             std = vals.std(ddof=1) if len(vals) > 1 else 0.0
             cells.append(f"{vals.mean():>17.4f} ± {std:<8.4f}")
         lines.append("".join(cells))

@@ -6,6 +6,7 @@ import re
 import signal
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ NON_DEFAULT_VALUES = {
     "run.checkpoint": "true",
 }
 NON_DEFAULT = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT_VALUES.items())
+
+
+def readme_key_table():
+    """The (key, default) rows of README's "Keys and defaults" table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("Keys and defaults:\n\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip().strip("`") for cell in line.split("|")[1:3]]
+            for line in table.splitlines()[2:]]
+
+
+@pytest.mark.parametrize("key, default", readme_key_table())
+def test_readme_key_table(key, default):
+    assert key in harness._KEYS
+    parser = harness._KEYS[key][2]
+    assert parser(default) == harness._values(ExperimentConfig())[key]
 
 
 class TestLoadConfig:
@@ -205,11 +221,10 @@ class TestValidateTypes:
         assert harness._values(with_value(key, value))[key] == value
 
 
-# Every key `compare` reads, each with a value of its type.
-SUMMARY = {"num_rbs": 6, "buffer_len": 10, "continuity_len": 2, "rate": "high",
-           "policy": "mt", "licensed_rbs": None, "se_licensed_adjusted": 1.5,
-           "se_unlicensed": 2, "acceptance_ratio": 1.0, "missed_ratio": 0.0,
-           "alpha": 1.0, "beta": 0, "delta": "inf", "seed": 0}
+# Every summary key `compare` reads, each with a value of its type; it reads
+# the run's settings from `config_echo.txt`.
+SUMMARY = {"status": "ok", "se_licensed_adjusted": 1.5, "se_unlicensed": 2,
+           "acceptance_ratio": 1.0, "missed_ratio": 0.0}
 
 
 def tiny_config(**kw):
@@ -406,6 +421,7 @@ class TestEncodeOnDemand:
             push = memory.push
 
             def recorded_push(action, reward, next_state, terminal):
+                assert memory.state is not None     # else the row's state is NaN
                 pushed.append((memory.state.copy(), next_state.copy()))
                 push(action, reward, next_state, terminal)
 
@@ -434,6 +450,7 @@ class TestEncodeOnDemand:
         assert np.array_equal(next_states[:n - 1][within], states[1:n][within])
         assert np.array_equal(mem.states[:n], states)
         assert np.array_equal(mem.last_next_state, next_states[-1])
+        assert np.isfinite(mem.states[:n]).all() and np.isfinite(mem.last_next_state).all()
         # The first state of an episode is the freshly reset environment:
         # an empty buffer, zero continuity counters, the first RB.
         fresh = np.zeros(mem.states.shape[1], dtype=np.float32)
@@ -594,12 +611,23 @@ class TestCompare:
         lines = table.splitlines()
         assert len(lines) == 3  # header + two policy rows
 
-    # A row's mean +/- std is over seeds of one setting: two reward weights
+    # A row's mean +/- std is over seeds of one config: two reward weights
     # used to share a row, and a directory given twice to count twice.
     def test_row_mixing_reward_weights_rejected(self, tmp_path):
         harness.run(tiny_config(), out_dir=tmp_path / "a")
         harness.run(tiny_config(beta=2.0), out_dir=tmp_path / "b")
-        message = "mt: runs with different reward weights in one row"
+        message = "mt: runs in one row differ in reward.beta"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness.compare([tmp_path / "a", tmp_path / "b"])
+
+    # These two used to print as one row, `mt 4.1423 ± 0.6173`.
+    def test_row_mixing_any_setting_rejected(self, tmp_path):
+        harness.run(tiny_config(episodes=1), out_dir=tmp_path / "a")
+        harness.run(tiny_config(seed=1, episodes=3, steps_per_episode=200,
+                                channel=ch.ChannelParams(tx_power_total=0.001)),
+                    out_dir=tmp_path / "b")
+        message = "mt: runs in one row differ in channel.tx_power, run.episodes, " \
+                  "run.steps_per_episode"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.compare([tmp_path / "a", tmp_path / "b"])
 
@@ -728,17 +756,17 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
         assert "run.policy = mt" in (out / "config_echo.txt").read_text().splitlines()
 
-    # Each used to end in a traceback: a KeyError, a JSONDecodeError, a
-    # ValueError from the table's float array and a TypeError from the label.
+    # Each used to end in a traceback: a KeyError, a JSONDecodeError and a
+    # ValueError from the table's float array.
     @pytest.mark.parametrize("text, key", [
         ("{}", None), ("not json", None),
         (json.dumps({**SUMMARY, "se_licensed_adjusted": "x"}), "se_licensed_adjusted"),
-        (json.dumps({**SUMMARY, "licensed_rbs": "4"}), "licensed_rbs"),
         # JSON's true used to read as 1 and print as 1.0000.
-        (json.dumps({**SUMMARY, "num_rbs": True, "se_licensed_adjusted": True}), "num_rbs"),
+        (json.dumps({**SUMMARY, "acceptance_ratio": True}), "acceptance_ratio"),
         (json.dumps({**SUMMARY, "se_licensed_adjusted": False}), "se_licensed_adjusted"),
-    ], ids=["no_keys", "not_json", "bad_se", "bad_licensed_rbs", "bool_numbers", "bool_se"])
+    ], ids=["no_keys", "not_json", "bad_se", "bool_numbers", "bool_se"])
     def test_compare_bad_summary_names_file(self, tmp_path, capsys, text, key):
+        (tmp_path / "config_echo.txt").write_text(harness.config_echo(ExperimentConfig()))
         (tmp_path / "summary.json").write_text(text)
         assert cli.main(["compare", str(tmp_path)]) == 1
         out, err = capsys.readouterr()
@@ -748,6 +776,26 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_compare_reads_typed_summary(self, tmp_path, capsys):
-        (tmp_path / "summary.json").write_text(json.dumps({**SUMMARY, "licensed_rbs": 4}))
+        (tmp_path / "config_echo.txt").write_text(
+            harness.config_echo(ExperimentConfig(policy="mt+f")))
+        (tmp_path / "summary.json").write_text(json.dumps(SUMMARY))
         assert cli.main(["compare", str(tmp_path)]) == 0
-        assert "mt(4/2)" in capsys.readouterr().out
+        assert "mt+f(4/2)" in capsys.readouterr().out
+
+    def test_compare_without_config_echo_names_file(self, tmp_path, capsys):
+        harness.run(tiny_config(), out_dir=tmp_path)
+        (tmp_path / "config_echo.txt").unlink()
+        assert cli.main(["compare", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "config_echo.txt") in err
+
+    # A directory written while `run.freeze_eval` was a key has no config
+    # that loads today.
+    def test_compare_refuses_unknown_key_in_config_echo(self, tmp_path, capsys):
+        harness.run(tiny_config(), out_dir=tmp_path)
+        echo = tmp_path / "config_echo.txt"
+        echo.write_text(echo.read_text() + "run.freeze_eval = false\n")
+        assert cli.main(["compare", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {echo}:{len(harness._KEYS) + 1}: unknown key 'run.freeze_eval'\n"
