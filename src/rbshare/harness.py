@@ -264,24 +264,11 @@ def _record(run: Run):
     """Summarise `run` from its reported set and its status, and write its
     artifacts; only an "ok" run writes its checkpoint."""
     config, metrics, out_path = run.config, run.eval_metrics, run.out_dir
-    run.summary = {
-        **metrics.summary(),
-        "status": run.status,
-        "policy": config.policy,
-        "seed": config.seed,
-        "num_rbs": config.channel.num_rbs,
-        "buffer_len": config.buffer_len,
-        "continuity_len": config.continuity_len,
-        "rate": config.rate,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "delta": "inf" if math.isinf(config.delta) else config.delta,
-        "licensed_rbs": config.licensed_rbs if config.policy.endswith("+f") else None,
-    }
+    # The one setting kept here: perfbench/workload.py reads it to count RL steps.
+    run.summary = {**metrics.summary(), "status": run.status, "num_rbs": config.channel.num_rbs}
     if not out_path:
         return
     _write_atomic(out_path / "config_echo.txt", lambda f: f.write(config_echo(config)))
-    _write_atomic(out_path / "seed.txt", lambda f: f.write(f"{config.seed}\n"))
     _write_csv(out_path / "learning_curve.csv", "step,value", run.train_metrics.learning_curve)
     for svc_id in sorted(metrics.latency):
         _write_csv(out_path / f"latency_type{svc_id}.csv", "latency,cdf",
@@ -294,7 +281,8 @@ def _record(run: Run):
     # An earlier run into this directory may have left files this one did not write.
     kept = {f"latency_type{svc_id}.csv" for svc_id in metrics.latency} | \
         ({"qnetwork.npz"} if checkpoint else set())
-    for path in [*out_path.glob("latency_type*.csv"), out_path / "qnetwork.npz"]:
+    for path in [*out_path.glob("latency_type*.csv"), out_path / "qnetwork.npz",
+                 out_path / "seed.txt"]:    # older versions wrote a seed.txt
         if path.name not in kept:
             path.unlink(missing_ok=True)
 
@@ -426,9 +414,11 @@ def compare(artifact_dirs: list) -> str:
     """Side-by-side table of the headline metrics across runs.
 
     Runs must share the scenario parameters (R, L, C, rate); rows group
-    policies, aggregating seeds as mean +/- sample std, so the runs of a row
-    must share every config key but `run.seed`, and differ in that.
-    """
+    policies, aggregating seeds as mean +/- sample std. So the runs of a row
+    differ in `run.seed` and share each key that can change a number: all but
+    `run.checkpoint` (it only writes `qnetwork.npz`) and the keys the policy
+    never reads (a baseline's `agent.*` and `run.eval_set`, and
+    `run.licensed_rbs` without `+f`)."""
     runs = [_read_run(d) for d in artifact_dirs]
     if not runs:
         raise ConfigError("nothing to compare")
@@ -445,8 +435,11 @@ def compare(artifact_dirs: list) -> str:
     header = f"{'policy':<14}" + "".join(f"{m:>28}" for m in _COMPARED)
     lines = [header]
     for label, rows in sorted(groups.items()):
-        values = [_values(config) for config, _ in rows]
-        differ = [key for key in _KEYS if len({v[key] for v in values}) > 1 and key != "run.seed"]
+        policy, values = rows[0][0].policy, [_values(config) for config, _ in rows]
+        differ = [key for key in _KEYS if len({v[key] for v in values}) > 1
+                  and key not in ("run.seed", "run.checkpoint")
+                  and (policy == "dqn" or not key.startswith("agent.") and key != "run.eval_set")
+                  and (policy.endswith("+f") or key != "run.licensed_rbs")]
         if differ:
             raise ConfigError(f"{label}: runs in one row differ in {', '.join(differ)}")
         if len({config.seed for config, _ in rows}) < len(rows):

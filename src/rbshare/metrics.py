@@ -55,10 +55,6 @@ class RunMetrics:
     def _redraw_unlicensed(self):
         _, self.unlicensed_bits_per_rb = ch.draw_link(self.params, self.unlicensed_rng)
 
-    @property
-    def arrivals(self) -> int:
-        return self.accepted + self.dropped
-
     def record(self, out: StepOutcome):
         if out.alloc_se is not None:
             self.trail.append((self.rl_steps, self.se_sum))
@@ -93,23 +89,6 @@ class RunMetrics:
 
     # -- derived quantities ------------------------------------------------------
 
-    def se_licensed(self, adjusted: bool = False) -> float:
-        if self.time_steps < 1:
-            raise ValueError("no time steps recorded")
-        total = self.delivered_bits - (self.missed_bits if adjusted else 0)
-        return total / (self.params.rb_bits * self.params.num_rbs * self.time_steps)
-
-    def se_unlicensed(self) -> float:
-        if self.unlicensed_rb_steps == 0:
-            return 0.0
-        return self.unlicensed_bits / (self.params.rb_bits * self.unlicensed_rb_steps)
-
-    def ratios(self) -> tuple[float, float]:
-        """Acceptance and missed ratios; (1.0, 0.0) before any arrival."""
-        acceptance = self.accepted / self.arrivals if self.arrivals else 1.0
-        missed = self.missed / self.accepted if self.accepted else 0.0
-        return acceptance, missed
-
     def latency_cdf(self, service_id: int) -> list[tuple[int, float]]:
         counts = self.latency.get(service_id)
         if not counts:
@@ -122,18 +101,23 @@ class RunMetrics:
         return out
 
     def summary(self) -> dict:
-        acceptance, missed = self.ratios()
-        ran = self.time_steps > 0
+        """Every number a run reports, each derived here once; SE is None until
+        a time step has ended."""
+        p, ran = self.params, self.time_steps > 0
+        arrivals, vacant = self.accepted + self.dropped, self.unlicensed_rb_steps
+        grid_bits = p.rb_bits * p.num_rbs * self.time_steps
         return {
             "time_steps": self.time_steps,
-            "se_licensed": self.se_licensed() if ran else None,
-            "se_licensed_adjusted": self.se_licensed(adjusted=True) if ran else None,
-            "se_unlicensed": self.se_unlicensed() if ran else None,
-            "acceptance_ratio": acceptance,
-            "missed_ratio": missed,
+            "se_licensed": self.delivered_bits / grid_bits if ran else None,
+            "se_licensed_adjusted":
+                (self.delivered_bits - self.missed_bits) / grid_bits if ran else None,
+            "se_unlicensed": (self.unlicensed_bits / (p.rb_bits * vacant) if vacant else 0.0)
+                             if ran else None,
+            "acceptance_ratio": self.accepted / arrivals if arrivals else 1.0,
+            "missed_ratio": self.missed / self.accepted if self.accepted else 0.0,
             "missed_ratio_resolved": self.missed / max(self.satisfied + self.missed, 1),
             "abandoned": self.accepted - self.satisfied - self.missed,  # left by reset or end
-            "arrivals": self.arrivals,
+            "arrivals": arrivals,
             "accepted": self.accepted,
             "dropped": self.dropped,
             "missed": self.missed,

@@ -163,10 +163,11 @@ def reference_latency_cdf(samples) -> list[tuple[int, float]]:
 
 
 def fingerprint(out_dir: Path) -> dict:
-    """SHA-256 of each artifact that carries a number, by file name."""
+    """SHA-256 of each artifact that carries a number or the run's settings,
+    by file name."""
     prints = {}
     for path in sorted(out_dir.iterdir()):
-        if path.name == "summary.json" or path.suffix == ".csv":
+        if path.name in ("summary.json", "config_echo.txt") or path.suffix == ".csv":
             prints[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         elif path.suffix == ".npz":
             h = hashlib.sha256()

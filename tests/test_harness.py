@@ -61,6 +61,22 @@ def test_readme_key_table(key, default):
     assert parser(default) == harness._values(ExperimentConfig())[key]
 
 
+def readme_summary_keys():
+    """The keys README's Artifacts list names for `summary.json`: those in
+    backticks before the colon of each of its sub-items."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    item = text.split("\n- `summary.json` — ", 1)[1].split("\n- ", 1)[0]
+    return [key for line in item.splitlines() if line.startswith("  - ")
+            for key in re.findall(r"`(\w+)`", line.split(":", 1)[0])]
+
+
+def test_readme_summary_keys(tmp_path):
+    harness.run(tiny_config(), out_dir=tmp_path)
+    keys = readme_summary_keys()
+    assert len(keys) == len(set(keys))
+    assert set(keys) == json.loads((tmp_path / "summary.json").read_text()).keys()
+
+
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, ""))
@@ -296,11 +312,13 @@ class TestRun:
         assert (tmp_path / "qnetwork.npz").exists()
 
     # A rerun into a directory removes the earlier run's checkpoint and
-    # latency CSVs that it does not write itself.
+    # latency CSVs that it does not write itself, and a `seed.txt` that older
+    # versions wrote: `config_echo.txt` alone records the seed.
     def test_rerun_clears_earlier_artifacts(self, tmp_path):
         cfg = tiny_config(policy="dqn", checkpoint=True, episodes=1, steps_per_episode=60)
         harness.run(cfg, out_dir=tmp_path / "out")
         assert (tmp_path / "out" / "qnetwork.npz").exists()
+        (tmp_path / "out" / "seed.txt").write_text("7\n")
         for d in ("out", "fresh"):
             harness.run(tiny_config(), out_dir=tmp_path / d)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
@@ -631,6 +649,28 @@ class TestCompare:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.compare([tmp_path / "a", tmp_path / "b"])
 
+    # These used to be refused, with `mt: runs in one row differ in
+    # agent.min_observations, agent.hidden, run.checkpoint`, though a
+    # baseline reads no agent key, plays one set and writes no checkpoint,
+    # and only a `+f` policy reads `run.licensed_rbs`.
+    def test_row_pools_over_unread_settings(self, tmp_path):
+        harness.run(tiny_config(checkpoint=True), out_dir=tmp_path / "a")
+        harness.run(tiny_config(seed=1, agent=AgentConfig()), out_dir=tmp_path / "b")
+        harness.run(tiny_config(seed=2, eval_set=True, licensed_rbs=2), out_dir=tmp_path / "c")
+        lines = harness.compare([tmp_path / d for d in "abc"]).splitlines()
+        assert len(lines) == 2 and lines[1].startswith("mt ")
+
+    # The DQN reads its agent keys, so they split its rows; its checkpoint
+    # does not.
+    def test_dqn_row_mixing_agent_setting_rejected(self, tmp_path):
+        harness.run(tiny_config(policy="dqn"), out_dir=tmp_path / "a")
+        harness.run(tiny_config(policy="dqn", seed=1, checkpoint=True,
+                                agent=AgentConfig(hidden=(8,), min_observations=32)),
+                    out_dir=tmp_path / "b")
+        message = "dqn: runs in one row differ in agent.hidden"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            harness.compare([tmp_path / "a", tmp_path / "b"])
+
     def test_row_repeating_a_seed_rejected(self, tmp_path):
         harness.run(tiny_config(), out_dir=tmp_path)
         with pytest.raises(ConfigError, match="^mt: a seed appears twice in one row$"):
@@ -659,8 +699,9 @@ class TestCli:
         rc = cli.main(["run", str(cfg), "--policy", "mt", "--seed", "3",
                        "--out", str(tmp_path / "out"), "--buffer", "5"])
         assert rc == 0
+        config = load_config(tmp_path / "out" / "config_echo.txt")
+        assert config.policy == "mt" and config.buffer_len == 5
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["policy"] == "mt" and summary["buffer_len"] == 5
         assert summary["status"] == "ok"
         assert "se_licensed" in capsys.readouterr().out
 
@@ -732,7 +773,7 @@ class TestCli:
         assert summary["accepted"] == summary["satisfied"] + summary["missed"] + \
             summary["abandoned"]
         assert sorted(p.name for p in out.iterdir()) == \
-            ["config_echo.txt", "learning_curve.csv", "seed.txt", "summary.json"]
+            ["config_echo.txt", "learning_curve.csv", "summary.json"]
         # `compare` refuses it, naming the file.
         assert cli.main(["compare", str(out)]) == 1
         stdout, err = capsys.readouterr()

@@ -25,29 +25,30 @@ def last_rb(n: int) -> list[bool] | None:
 
 
 class TestSeLicensed:
-    def test_no_time_step_raises(self):
+    def test_no_time_step_gives_none(self):
         m = bare_metrics()
         m.record(blank_outcome(delivered_bits=999))    # no time step has ended
-        with pytest.raises(ValueError, match="^no time steps recorded$"):
-            m.se_licensed()
+        summary = m.summary()
+        assert [summary[k] for k in ("se_licensed", "se_licensed_adjusted", "se_unlicensed")] \
+            == [None] * 3
 
     def test_idle_is_zero(self):
         m = bare_metrics()
         for k in range(6):
             m.record(blank_outcome(vacant=[False] * 6 if k == 5 else None))
-        assert m.se_licensed() == 0.0
-        assert m.se_licensed(adjusted=True) == 0.0
+        assert m.summary()["se_licensed"] == 0.0
+        assert m.summary()["se_licensed_adjusted"] == 0.0
 
     def test_adjusted_equals_unadjusted_without_misses(self):
         m = bare_metrics()
         m.record(blank_outcome(delivered_bits=999, vacant=[False] * 6))
-        assert m.se_licensed() == m.se_licensed(adjusted=True)
+        assert m.summary()["se_licensed"] == m.summary()["se_licensed_adjusted"]
 
     def test_missed_deduction(self):
         m = bare_metrics()
         m.record(blank_outcome(delivered_bits=999, resolved=[(1, 150, True, 999)],
                                vacant=[False] * 6))
-        drop = m.se_licensed() - m.se_licensed(adjusted=True)
+        drop = m.summary()["se_licensed"] - m.summary()["se_licensed_adjusted"]
         assert drop == pytest.approx(999 / (180.0 * 6), abs=1e-12)
 
     def test_adjusted_never_exceeds_unadjusted(self):
@@ -58,7 +59,7 @@ class TestSeLicensed:
         rng = np.random.default_rng(0)
         while not env.done:
             m.record(ledger.step(env, int(rng.integers(0, env.L + 1))))
-        assert m.se_licensed(adjusted=True) <= m.se_licensed()
+        assert m.summary()["se_licensed_adjusted"] <= m.summary()["se_licensed"]
         assert m.missed > 0  # the deduction is exercised
         assert m.delivered_bits == ledger.delivered
         assert m.missed_bits == ledger.missed_bits
@@ -68,20 +69,18 @@ class TestRatios:
     def test_perfect_run(self):
         m = bare_metrics()
         m.record(blank_outcome(accepted=5))
-        assert m.ratios() == (1.0, 0.0)
+        assert (m.summary()["acceptance_ratio"], m.summary()["missed_ratio"]) == (1.0, 0.0)
 
     def test_acceptance_example(self):
         m = bare_metrics()
         m.record(blank_outcome(accepted=88, dropped=12))
-        acceptance, _ = m.ratios()
-        assert acceptance == pytest.approx(0.88)
+        assert m.summary()["acceptance_ratio"] == pytest.approx(0.88)
 
     def test_missed_example(self):
         m = bare_metrics()
         m.record(blank_outcome(accepted=10_000))
         m.record(blank_outcome(resolved=[(1, 150, True, 0), (1, 150, True, 0)]))
-        _, missed = m.ratios()
-        assert missed == pytest.approx(2e-4)
+        assert m.summary()["missed_ratio"] == pytest.approx(2e-4)
 
     def test_bounds(self):
         env = make_env(steps=200, seed=9)
@@ -89,7 +88,7 @@ class TestRatios:
         m = bare_metrics()
         while not env.done:
             m.record(env.step(0))
-        acceptance, missed = m.ratios()
+        acceptance, missed = m.summary()["acceptance_ratio"], m.summary()["missed_ratio"]
         assert 0.0 <= acceptance <= 1.0 and 0.0 <= missed <= 1.0
 
 
@@ -176,14 +175,14 @@ class TestUnlicensed:
     def test_no_qualifying_vacancies(self):
         m = bare_metrics()
         m.record(blank_outcome(vacant=[False] * 6))
-        assert m.se_unlicensed() == 0.0
+        assert m.summary()["se_unlicensed"] == 0.0
         assert m.unlicensed_rb_steps == 0
 
     def test_saturated_cqi15(self):
         m = bare_metrics()
         m.unlicensed_bits_per_rb = (999,) * 6
         m.record(blank_outcome(vacant=[True] * 6))
-        assert m.se_unlicensed() == pytest.approx(999 / 180.0)
+        assert m.summary()["se_unlicensed"] == pytest.approx(999 / 180.0)
         assert m.unlicensed_rb_steps == 6
 
     def test_fixed_split_warm_up(self):

@@ -78,7 +78,7 @@ def test_accounting_closes(s):
     assert m.missed_bits == ledger.missed_bits
     # Every arrival is accepted or dropped; every accepted request is
     # satisfied, missed or abandoned at the end of its episode.
-    assert m.arrivals == arrivals
+    assert m.summary()["arrivals"] == arrivals
     assert m.accepted == ledger.admitted
     assert (m.satisfied, m.missed) == (ledger.satisfied, ledger.missed)
     assert m.accepted == m.satisfied + m.missed + abandoned
