@@ -167,6 +167,8 @@ class ReplayMemory:
         self.state: np.ndarray | None = None    # the current state; None at an episode's start
 
     def push(self, action: int, reward: float, next_state, terminal: bool):
+        if self.state is None:      # numpy would store it as a row of NaN
+            raise ValueError("push with no current state: set `state` first")
         i = self.pushed % self.capacity    # once full, the oldest row
         self.states[i] = self.state
         self.actions[i] = action

@@ -80,6 +80,11 @@ def aggregate_reward(
 class SchedulingEnv:
     """Requests' buffer + continuity MDP with per-RB actions.
 
+    Built from a checked `ExperimentConfig` (any object with its fields), of
+    which it reads `channel`, `rate` (for its service catalog), `buffer_len`
+    (L), `continuity_len` (C), `alpha`, `beta`, `delta` and
+    `steps_per_episode`; R is `channel.num_rbs`.
+
     Randomness is split between a traffic rng and a channel rng. Only the
     traffic is shared across policies under a seed: the channel rng is drawn
     at each admission and each coherence period, for every live request, so
@@ -88,28 +93,13 @@ class SchedulingEnv:
     unlicensed link's included (ROADMAP item 6).
     """
 
-    def __init__(
-        self,
-        params: ch.ChannelParams,
-        catalog: list[tr.ServiceType],
-        buffer_len: int,
-        continuity_len: int,
-        alpha: float,
-        beta: float,
-        delta: float,
-        steps_per_episode: int,
-        traffic_rng: np.random.Generator,
-        channel_rng: np.random.Generator,
-    ):
-        self.params = params
-        self.catalog = list(catalog)
-        self.L = buffer_len
-        self.R = params.num_rbs
-        self.C = continuity_len
-        self.alpha = alpha
-        self.beta = beta
-        self.delta = delta
-        self.steps_per_episode = steps_per_episode
+    def __init__(self, config, traffic_rng: np.random.Generator,
+                 channel_rng: np.random.Generator):
+        self.params = params = config.channel
+        self.catalog = tr.service_catalog(config.rate)
+        self.L, self.R, self.C = config.buffer_len, params.num_rbs, config.continuity_len
+        self.alpha, self.beta, self.delta = config.alpha, config.beta, config.delta
+        self.steps_per_episode = config.steps_per_episode
         self.traffic_rng = traffic_rng
         self.channel_rng = channel_rng
         self.rb_bits = params.rb_bits

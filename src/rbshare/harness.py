@@ -329,30 +329,14 @@ def run(config: ExperimentConfig, out_dir=None) -> Run:
     out_path = None if out_dir is None else Path(out_dir)
     if out_path:    # made first, so a bad directory fails before the run
         out_path.mkdir(parents=True, exist_ok=True)
-    ss = np.random.SeedSequence(config.seed)
-    init_ss, explore_ss, traffic_ss, channel_ss, unlic_train_ss, unlic_eval_ss, policy_ss = \
-        ss.spawn(7)
-    env = SchedulingEnv(
-        params=config.channel,
-        catalog=tr.service_catalog(config.rate),
-        buffer_len=config.buffer_len,
-        continuity_len=config.continuity_len,
-        alpha=config.alpha,
-        beta=config.beta,
-        delta=config.delta,
-        steps_per_episode=config.steps_per_episode,
-        traffic_rng=np.random.default_rng(traffic_ss),
-        channel_rng=np.random.default_rng(channel_ss),
-    )
-    policy = make_policy(config, env.state_dim(),
-                         np.random.default_rng(init_ss),
-                         np.random.default_rng(explore_ss),
-                         np.random.default_rng(policy_ss))
+    init_rng, explore_rng, traffic_rng, channel_rng, unlic_train_rng, unlic_eval_rng, \
+        policy_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(7))
+    env = SchedulingEnv(config, traffic_rng, channel_rng)
+    policy = make_policy(config, env.state_dim(), init_rng, explore_rng, policy_rng)
     n_sets = 2 if config.eval_set and config.policy == "dqn" else 1
-    sets = [RunMetrics(config.channel, np.random.default_rng(s))
-            for s in (unlic_train_ss, unlic_eval_ss)[:n_sets]]
+    sets = [RunMetrics(config.channel, rng) for rng in (unlic_train_rng, unlic_eval_rng)[:n_sets]]
     run = Run(config, policy, sets[0], sets[0], out_path)
-    rl_steps = config.steps_per_episode * env.R
+    rl_steps = env.steps_per_episode * env.R
     with _deferred_signals() as caught:
         try:
             for metrics in sets:
@@ -410,20 +394,27 @@ def _read_run(artifact_dir) -> tuple[ExperimentConfig, dict]:
     return load_config(Path(artifact_dir) / "config_echo.txt"), summary
 
 
+def _differing(configs: list, keys) -> list:
+    """Those of `keys` whose value is not the same in all of `configs`."""
+    values = [_values(config) for config in configs]
+    return [key for key in keys if len({v[key] for v in values}) > 1]
+
+
 def compare(artifact_dirs: list) -> str:
     """Side-by-side table of the headline metrics across runs.
 
-    Runs must share the scenario parameters (R, L, C, rate); rows group
-    policies, aggregating seeds as mean +/- sample std. So the runs of a row
-    differ in `run.seed` and share each key that can change a number: all but
-    `run.checkpoint` (it only writes `qnetwork.npz`) and the keys the policy
-    never reads (a baseline's `agent.*` and `run.eval_set`, and
-    `run.licensed_rbs` without `+f`)."""
+    Runs must share the scenario (R, L, C, rate), or the keys that differ
+    are named; rows group policies, aggregating seeds as mean +/- sample
+    std. So the runs of a row differ in `run.seed` and share each key that
+    can change a number: all but `run.checkpoint` (it only writes
+    `qnetwork.npz`) and the keys the policy never reads (a baseline's
+    `agent.*` and `run.eval_set`, and `run.licensed_rbs` without `+f`)."""
     runs = [_read_run(d) for d in artifact_dirs]
     if not runs:
         raise ConfigError("nothing to compare")
-    if len({(c.channel.num_rbs, c.buffer_len, c.continuity_len, c.rate) for c, _ in runs}) > 1:
-        raise ConfigError("mismatched scenario parameters across runs")
+    scenario = ("channel.num_rbs", "traffic.rate", "env.buffer_len", "env.continuity_len")
+    if mismatched := _differing([config for config, _ in runs], scenario):
+        raise ConfigError(f"mismatched scenario across runs: {', '.join(mismatched)}")
 
     groups: dict = {}
     for config, summary in runs:
@@ -435,9 +426,9 @@ def compare(artifact_dirs: list) -> str:
     header = f"{'policy':<14}" + "".join(f"{m:>28}" for m in _COMPARED)
     lines = [header]
     for label, rows in sorted(groups.items()):
-        policy, values = rows[0][0].policy, [_values(config) for config, _ in rows]
-        differ = [key for key in _KEYS if len({v[key] for v in values}) > 1
-                  and key not in ("run.seed", "run.checkpoint")
+        policy = rows[0][0].policy
+        differ = [key for key in _differing([config for config, _ in rows], _KEYS)
+                  if key not in ("run.seed", "run.checkpoint")
                   and (policy == "dqn" or not key.startswith("agent.") and key != "run.eval_set")
                   and (policy.endswith("+f") or key != "run.licensed_rbs")]
         if differ:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from rbshare import channel as ch
-from rbshare import traffic as tr
 from rbshare.channel import LTE_CQI_EFFICIENCY, ChannelParams, noise_power
 from rbshare.agent import Batch
 from rbshare.environment import BufferEntry, SchedulingEnv
+from rbshare.harness import ExperimentConfig
 from rbshare.metrics import RunMetrics
 
 
@@ -180,16 +181,23 @@ def fingerprint(out_dir: Path) -> dict:
     return prints
 
 
-def make_env(buffer_len=10, continuity_len=2, alpha=1.0, beta=0.0, delta=math.inf,
-             steps=50, rate="high", seed=0, **channel_kw):
-    params = ch.ChannelParams(**channel_kw)
-    ss = np.random.SeedSequence(seed)
-    t_ss, c_ss = ss.spawn(2)
-    return SchedulingEnv(
-        params, tr.service_catalog(rate),
-        buffer_len, continuity_len, alpha, beta, delta, steps,
-        np.random.default_rng(t_ss), np.random.default_rng(c_ss),
-    )
+CHANNEL_FIELDS = {f.name for f in dataclasses.fields(ChannelParams)}
+
+
+def make_env(steps=50, seed=0, **kw):
+    """An environment built from the default `ExperimentConfig` with
+    `steps` time steps per episode; `kw` sets any of its fields or of
+    `ChannelParams`'s. `licensed_rbs` is 1, so any R is valid: the
+    environment never reads it."""
+    channel = ChannelParams(**{k: kw.pop(k) for k in list(kw) if k in CHANNEL_FIELDS})
+    config = ExperimentConfig(channel=channel, steps_per_episode=steps, licensed_rbs=1, **kw)
+    return seeded_env(config, seed)
+
+
+def seeded_env(config, seed):
+    """`config`'s environment, with traffic and channel generators drawn
+    from the two substreams of `seed`."""
+    return SchedulingEnv(config, *map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2)))
 
 
 def env_metrics(env, link_seed=0, window=1000) -> RunMetrics:

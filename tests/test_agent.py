@@ -258,6 +258,13 @@ class TestEpsilon:
 
 
 class TestReplay:
+    # Numpy used to write the missing state as a row of NaN.
+    def test_push_without_state_raises(self):
+        mem = ag.ReplayMemory(4, 3)
+        with pytest.raises(ValueError, match="no current state"):
+            mem.push(0, 0.0, np.zeros(3, np.float32), False)
+        assert mem.pushed == 0 and len(mem) == 0
+
     def test_eviction_order(self):
         mem = ag.ReplayMemory(capacity=5, state_dim=1)
         push_numbered(mem, 6)

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_env, oracle_ml, oracle_mt
+from conftest import oracle_ml, oracle_mt, seeded_env
 from rbshare import channel as ch
 from rbshare import cli, harness
+from rbshare import traffic as tr
 from rbshare.agent import AgentConfig, DQNPolicy, TrainingDiverged
 from rbshare.environment import SchedulingEnv
 from rbshare.harness import ConfigError, ExperimentConfig, load_config
@@ -279,6 +280,21 @@ class TestRun:
         b = harness.run(tiny_config(seed=2))
         assert a.summary["delivered_bits"] != b.summary["delivered_bits"]
 
+    # The environment reads every setting of its own from the config, and
+    # the one `run` plays encodes a state of the length R and L give.
+    def test_env_built_from_config(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, NON_DEFAULT))
+        env = SchedulingEnv(cfg, np.random.default_rng(0), np.random.default_rng(1))
+        assert (env.R, env.L, env.C, env.steps_per_episode) == (8, 20, 3, 40)
+        assert (env.alpha, env.beta, env.delta) == (0.5, 2.0, 1.5)
+        assert env.params is cfg.channel
+        assert env.catalog == tr.service_catalog("low") != tr.service_catalog("high")
+        played, reset = [], SchedulingEnv.reset
+        monkeypatch.setattr(SchedulingEnv, "reset", lambda env: (played.append(env), reset(env)))
+        harness.run(dataclasses.replace(cfg, episodes=1))
+        assert len(played) == 1 and played[0].catalog == env.catalog
+        assert len(played[0].encode()) == played[0].state_dim() == (8 + 3) * 20 + 8 + 1
+
     # The output directory is made before the first RL step, so a path that
     # cannot be one fails at once, not after the whole run.
     def test_bad_out_dir_fails_before_the_run(self, tmp_path, monkeypatch):
@@ -382,7 +398,7 @@ class TestRun:
     @pytest.mark.parametrize("name", harness.POLICIES)
     def test_make_policy_builds_each_policy(self, name):
         cfg = tiny_config(policy=name)
-        env = make_env(buffer_len=cfg.buffer_len, steps=cfg.steps_per_episode, seed=3)
+        env = seeded_env(cfg, 3)
         policy = harness.make_policy(cfg, env.state_dim(), np.random.default_rng(1),
                                      np.random.default_rng(2), np.random.default_rng(4))
         if name == "dqn":
@@ -688,7 +704,8 @@ class TestCompare:
     def test_mixed_scenarios_rejected(self, tmp_path):
         harness.run(tiny_config(), out_dir=tmp_path / "r0")
         harness.run(tiny_config(buffer_len=20), out_dir=tmp_path / "r1")
-        with pytest.raises(ConfigError, match="mismatched"):
+        message = "mismatched scenario across runs: env.buffer_len"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.compare([tmp_path / "r0", tmp_path / "r1"])
 
 

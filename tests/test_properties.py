@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GridRecorder, Ledger, TwoArrayReplay, continuity_counters, env_metrics, \
-    fingerprint, make_env, reference_latency_cdf, reference_learning_curve, reference_link_bits
+    fingerprint, reference_latency_cdf, reference_learning_curve, reference_link_bits, seeded_env
 from rbshare import harness
 from rbshare import traffic as tr
 from rbshare.agent import MLP, AgentConfig, DQNPolicy, ReplayMemory, dqn_targets
@@ -26,44 +26,38 @@ from rbshare.metrics import RunMetrics
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw) -> harness.ExperimentConfig:
     num_rbs = draw(st.integers(1, 8))
-    return {
-        "num_rbs": num_rbs,
-        "buffer_len": draw(st.integers(1, 12)),
-        "continuity_len": draw(st.integers(1, 4)),
-        "rate": draw(st.sampled_from(tr.RATE_PROFILES)),
+    return harness.ExperimentConfig(
+        # Down to 1, so short episodes redraw the unlicensed link too.
+        channel=ChannelParams(num_rbs=num_rbs, coherence_time=draw(st.integers(1, 13))),
+        buffer_len=draw(st.integers(1, 12)),
+        continuity_len=draw(st.integers(1, 4)),
+        rate=draw(st.sampled_from(tr.RATE_PROFILES)),
         # Short episodes, and ones long enough for deadlines (150 to 300
         # time steps) to pass.
-        "steps": draw(st.one_of(st.integers(1, 10), st.integers(160, 400))),
-        "episodes": draw(st.integers(2, 3)),
-        # Down to 1, so short episodes redraw the unlicensed link too.
-        "coherence_time": draw(st.integers(1, 13)),
-        "seed": draw(st.integers(0, 2 ** 32 - 1)),
-        "policy": draw(st.sampled_from(["mt", "ml", "random", "mt+f", "ml+f"])),
-        "licensed_rbs": draw(st.integers(1, num_rbs)),
-    }
+        steps_per_episode=draw(st.one_of(st.integers(1, 10), st.integers(160, 400))),
+        episodes=draw(st.integers(2, 3)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        policy=draw(st.sampled_from(["mt", "ml", "random", "mt+f", "ml+f"])),
+        licensed_rbs=draw(st.integers(1, num_rbs)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(scenarios())
-def test_accounting_closes(s):
-    env = make_env(buffer_len=s["buffer_len"], continuity_len=s["continuity_len"],
-                   steps=s["steps"], rate=s["rate"], seed=s["seed"],
-                   num_rbs=s["num_rbs"], coherence_time=s["coherence_time"])
+def test_accounting_closes(cfg):
+    env = seeded_env(cfg, cfg.seed)
     rec = GridRecorder(env)
     traffic_twin = copy.deepcopy(env.traffic_rng)
-    link_seed = s["seed"] + 1
+    link_seed = cfg.seed + 1
     m = env_metrics(env, link_seed)
     twin = np.random.default_rng(link_seed)
-    cfg = harness.ExperimentConfig(policy=s["policy"], licensed_rbs=s["licensed_rbs"],
-                                   channel=env.params)
     policy = harness.make_policy(cfg, env.state_dim(), None, None,
-                                 np.random.default_rng(s["seed"]))
+                                 np.random.default_rng(cfg.seed))
     ledger = Ledger()
     resolved = []
     arrivals = abandoned = 0
-    for _ in range(s["episodes"]):
+    for _ in range(cfg.episodes):
         arrivals += len(tr.generate_arrivals(env.catalog, env.steps_per_episode, traffic_twin))
         env.reset()
         while not env.done:
@@ -83,8 +77,8 @@ def test_accounting_closes(s):
     assert (m.satisfied, m.missed) == (ledger.satisfied, ledger.missed)
     assert m.accepted == m.satisfied + m.missed + abandoned
     assert m.summary()["abandoned"] == abandoned
-    time_steps = s["episodes"] * s["steps"]
-    assert m.time_steps == time_steps and m.rl_steps == time_steps * s["num_rbs"]
+    time_steps = cfg.episodes * cfg.steps_per_episode
+    assert m.time_steps == time_steps and m.rl_steps == time_steps * cfg.channel.num_rbs
 
     # A satisfied request's latency is its age when it left the buffer; a
     # missed one's is its latency budget, which it has reached exactly.
@@ -97,11 +91,11 @@ def test_accounting_closes(s):
     # The unlicensed link's RBs and bits, recounted from the allocation grid
     # with the link redrawn from a twin of its generator every coherence period
     # of the run, and the continuity counters zeroed at each episode's start.
-    counters = continuity_counters(rec.mask_grid, s["steps"])
+    counters = continuity_counters(rec.mask_grid, cfg.steps_per_episode)
     assert len(counters) == time_steps and rec.v_history == counters
     rb_steps = bits = 0
     for n, v in enumerate(counters):
-        if n % s["coherence_time"] == 0:
+        if n % cfg.channel.coherence_time == 0:
             link_bits = np.asarray(reference_link_bits(env.params, twin))
         free = np.asarray(v) >= env.C
         rb_steps += int(free.sum())
@@ -134,9 +128,7 @@ def small_configs(draw) -> harness.ExperimentConfig:
 def test_encoded_state_in_stated_ranges(cfg):
     """At every RL step, each feature of `encode` is in the range its
     docstring states, under every policy."""
-    env = make_env(buffer_len=cfg.buffer_len, steps=cfg.steps_per_episode, rate=cfg.rate,
-                   seed=cfg.seed, num_rbs=cfg.channel.num_rbs,
-                   coherence_time=cfg.channel.coherence_time)
+    env = seeded_env(cfg, cfg.seed)
     rngs = [np.random.default_rng(cfg.seed + i) for i in range(3)]
     policy = harness.make_policy(cfg, env.state_dim(), *rngs)
     observe = policy.observe if isinstance(policy, DQNPolicy) else None
