@@ -41,10 +41,12 @@ class ChannelParams:
     dist_max: float = 100.0            # m
     tx_power_total: float = 0.1        # W, split uniformly over RBs
     rb_bandwidth: float = 180e3        # Hz
-    rb_duration: float = 1e-3          # s
     num_rbs: int = 6
     noise_temp: float = 300.0          # K
     noise_figure_db: float = 9.0
+    # The time step, fixed because the traffic's means and latency budgets
+    # count in 1-ms steps. Unannotated, so it is a constant, not a field.
+    rb_duration = 1e-3                 # s
 
     @property
     def rb_bits(self) -> float:

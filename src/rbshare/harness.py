@@ -126,7 +126,6 @@ _KEYS = {
     "channel.dist_max": ("channel", "dist_max", float, "(channel.dist_min, inf)"),
     "channel.tx_power": ("channel", "tx_power_total", float, "[0, inf)"),
     "channel.rb_bandwidth": ("channel", "rb_bandwidth", float, "(0, inf)"),
-    "channel.rb_duration": ("channel", "rb_duration", float, "(0, inf)"),
     "channel.num_rbs": ("channel", "num_rbs", int, "[1, inf)"),
     "channel.noise_temp": ("channel", "noise_temp", float, "(0, inf)"),
     "channel.noise_figure": ("channel", "noise_figure_db", float, "[0, inf)"),
@@ -148,7 +147,7 @@ _KEYS = {
     "agent.hidden": ("agent", "hidden", _parse_hidden, "[1, inf)"),
     "agent.init_std": ("agent", "init_std", float, "[0, inf)"),
     "agent.eps0": ("agent", "eps0", float, "[0, 1]"),
-    "agent.eps_inf": ("agent", "eps_inf", float, "[0, 1]"),
+    "agent.eps_inf": ("agent", "eps_inf", float, "[0, agent.eps0]"),
     "agent.eps_decay_steps": ("agent", "eps_decay_steps", int, "[1, inf)"),
     "run.policy": ("root", "policy", str, POLICIES),
     "run.licensed_rbs": ("root", "licensed_rbs", int, "[1, channel.num_rbs]"),
@@ -158,6 +157,11 @@ _KEYS = {
     "run.eval_set": ("root", "eval_set", _parse_bool, _BOOL),
     "run.checkpoint": ("root", "checkpoint", _parse_bool, _BOOL),
 }
+
+
+# Retired keys -> the one value a config may still give them, the value
+# every `config_echo.txt` written before the retirement holds.
+_RETIRED = {"channel.rb_duration": 1e-3}
 
 
 def _values(config: ExperimentConfig) -> dict:
@@ -193,6 +197,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     kwargs: dict = {"channel": {}, "agent": {}, "root": {}}
     for where, key, value in settings:
+        if key in _RETIRED:
+            with contextlib.suppress(ValueError):
+                if float(value) == _RETIRED[key]:
+                    continue
+            raise ConfigError(f"{where}{key}: retired, as the time step is fixed at 1 ms; "
+                              f"it may only be {_RETIRED[key]}, got {value!r}")
         if key not in _KEYS:
             raise ConfigError(f"{where}unknown key {key!r}")
         section, attr, parser, _ = _KEYS[key]

@@ -1,8 +1,8 @@
 """Request arrival process: three independent Poisson streams of typed
 service requests, quantized to time-step boundaries.
 
-One time step is 1 ms (the RB duration), so inter-arrival means in ms and
-latency budgets in steps live on the same axis.
+One time step is 1 ms (`ChannelParams.rb_duration`, a fixed constant), so
+inter-arrival means in ms and latency budgets in steps live on the same axis.
 """
 
 from __future__ import annotations

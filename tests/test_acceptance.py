@@ -232,8 +232,10 @@ def test_criterion_09_sum_se_ordering():
     dqn_mean = float(np.mean(sums["dqn"]))
     mtf_mean = float(np.mean(sums["mt+f"]))
     ok = dqn_mean > mtf_mean
+    per_seed = "; ".join(f"{p} " + ", ".join(f"{v:.3f}" for v in vals)
+                         for p, vals in sums.items())
     report(9, ok, f"mean sum SE dqn {dqn_mean:.3f} vs mt+f {mtf_mean:.3f} "
-                  f"over seeds {seeds}")
+                  f"over seeds {seeds} (per seed: {per_seed})")
     assert dqn_mean > mtf_mean
 
 

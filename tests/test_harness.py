@@ -32,8 +32,8 @@ NON_DEFAULT_VALUES = {
     "channel.path_loss_exponent": "3", "channel.shadowing_sigma": "4.1",
     "channel.corr_param": "0.5", "channel.coherence_time": "6",
     "channel.dist_min": "20", "channel.dist_max": "250", "channel.tx_power": "0.2",
-    "channel.rb_bandwidth": "360e3", "channel.rb_duration": "5e-4",
-    "channel.num_rbs": "8", "channel.noise_temp": "290", "channel.noise_figure": "7.5",
+    "channel.rb_bandwidth": "360e3", "channel.num_rbs": "8", "channel.noise_temp": "290",
+    "channel.noise_figure": "7.5",
     "traffic.rate": "low", "env.buffer_len": "20", "env.continuity_len": "3",
     "reward.alpha": "0.5", "reward.beta": "2", "reward.delta": "1.5",
     "agent.gamma": "0.5", "agent.learning_rate": "0.001", "agent.replay_capacity": "1000",
@@ -103,6 +103,8 @@ class TestLoadConfig:
         pytest.param("agent.minibatch = 0", id="minibatch_zero"),
         pytest.param("agent.eps0 = 2", id="eps0"),
         pytest.param("agent.eps_inf = -0.5", id="eps_inf"),
+        # A floor above the start held epsilon at the floor from step 0.
+        pytest.param("agent.eps_inf = 0.05\nagent.eps0 = 0.01", id="eps_inf_above_eps0"),
         pytest.param("agent.eps_decay_steps = 0", id="eps_decay_steps"),
         # A warm-up longer than the replay memory can hold never ends.
         pytest.param("agent.min_observations = 40\nagent.replay_capacity = 10",
@@ -111,7 +113,7 @@ class TestLoadConfig:
         # error, a division by zero, numpy's argument checks, or (with the
         # default DQN policy) a NaN reward reported as diverged training.
         "channel.dist_min = -50", "channel.tx_power = -1", "channel.carrier_freq = inf",
-        "channel.rb_duration = 0", "run.seed = -1", "agent.init_std = -1",
+        "run.seed = -1", "agent.init_std = -1",
         "reward.delta = nan",
         # Values that used to load, or failed under a key that does not exist.
         "env.buffer_len = 0", "env.continuity_len = 0",
@@ -204,6 +206,34 @@ run.licensed_rbs = 4
         assert cfg.buffer_len == 40 and cfg.continuity_len == 5
         assert (cfg.alpha, cfg.beta, cfg.delta) == (2.0, 2.0, 1.0)
         assert cfg.policy == "mt+f"
+
+
+# The time step is fixed at 1 ms, so `channel.rb_duration` is no longer a
+# key. Its one value still loads, as every `config_echo.txt` written while it
+# was a key holds it.
+class TestRetiredKey:
+    def test_duration_is_a_constant(self):
+        assert "channel.rb_duration" not in harness._KEYS
+        assert ch.ChannelParams.rb_duration == 1e-3
+        with pytest.raises(TypeError):
+            ch.ChannelParams(rb_duration=1e-3)
+        assert len(harness.config_echo(ExperimentConfig()).splitlines()) == 37
+
+    @pytest.mark.parametrize("value", ["0.001", "1e-3"])
+    def test_fixed_value_accepted(self, tmp_path, value):
+        assert load_config(write_config(tmp_path, f"channel.rb_duration = {value}\n")) == \
+            load_config(write_config(tmp_path, "", "empty.cfg"), {"channel.rb_duration": value}) \
+            == ExperimentConfig()
+
+    @pytest.mark.parametrize("value", ["5e-4", "0", "abc"])
+    def test_other_value_refused(self, tmp_path, value):
+        message = "channel.rb_duration: retired, as the time step is fixed at 1 ms; " \
+                  f"it may only be 0.001, got '{value}'"
+        path = write_config(tmp_path, f"run.episodes = 2\nchannel.rb_duration = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(write_config(tmp_path, "", "empty.cfg"), {"channel.rb_duration": value})
 
 
 def with_value(key, value) -> ExperimentConfig:
@@ -798,6 +828,15 @@ class TestCli:
         assert err == f"error: {out / 'summary.json'}: the run diverged, so it has no result " \
                       "to compare\n"
 
+    def test_retired_key_value_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "run.policy = mt\nchannel.rb_duration = 5e-4\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}:2: channel.rb_duration: retired, as the time step ")
+        assert not out.exists()
+
     def test_non_utf8_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_bytes("\ufeffrun.policy = mt\n".encode("utf-16-le"))  # starts ff fe
@@ -847,6 +886,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path / "config_echo.txt") in err
+
+    # Directories written while `channel.rb_duration` was a key echo it as
+    # 0.001 after `channel.rb_bandwidth`, and still compare.
+    def test_compare_reads_echo_with_retired_key(self, tmp_path, capsys):
+        dirs = [tmp_path / "r0", tmp_path / "r1"]
+        for seed, out in enumerate(dirs):
+            harness.run(tiny_config(seed=seed), out_dir=out)
+        table = harness.compare(dirs)
+        for out in dirs:
+            echo = out / "config_echo.txt"
+            lines = echo.read_text().splitlines(keepends=True)
+            lines.insert(10, "channel.rb_duration = 0.001\n")
+            assert lines[9].startswith("channel.rb_bandwidth = ")
+            echo.write_text("".join(lines))
+        assert cli.main(["compare", *map(str, dirs)]) == 0
+        assert capsys.readouterr().out == table + "\n"
+        assert len(table.splitlines()) == 2 and table.splitlines()[1].startswith("mt ")
 
     # A directory written while `run.freeze_eval` was a key has no config
     # that loads today.
