@@ -8,15 +8,3 @@ Modules:
     metrics     -- spectral efficiency, ratios, latency accounting
     harness     -- experiment configuration and orchestration
 """
-
-from rbshare.channel import ChannelParams
-from rbshare.environment import SchedulingEnv
-from rbshare.harness import ExperimentConfig, load_config, run
-
-__all__ = [
-    "ChannelParams",
-    "SchedulingEnv",
-    "ExperimentConfig",
-    "load_config",
-    "run",
-]

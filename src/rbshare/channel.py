@@ -29,10 +29,14 @@ LTE_CQI_EFFICIENCY = (
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Physical-layer parameters shared by all links in a cell."""
+    """Physical-layer parameters shared by all links in a cell.
 
-    carrier_freq: float = 1e9          # Hz
-    ref_distance: float = 10.0         # m
+    The unannotated names are constants, not fields. `rb_duration` is the
+    time step. `carrier_freq`, `ref_distance`, `noise_temp` and
+    `noise_figure_db` would each only scale every link's SNR by a constant,
+    as `tx_power_total` does, so that field is the one SNR setting.
+    """
+
     path_loss_exponent: float = 3.5
     shadowing_sigma: float = 5.2       # dB
     corr_param: float = 0.001          # inter-RB fading correlation, in [0, 1]
@@ -42,11 +46,13 @@ class ChannelParams:
     tx_power_total: float = 0.1        # W, split uniformly over RBs
     rb_bandwidth: float = 180e3        # Hz
     num_rbs: int = 6
-    noise_temp: float = 300.0          # K
-    noise_figure_db: float = 9.0
     # The time step, fixed because the traffic's means and latency budgets
-    # count in 1-ms steps. Unannotated, so it is a constant, not a field.
+    # count in 1-ms steps.
     rb_duration = 1e-3                 # s
+    carrier_freq = 1e9                 # Hz
+    ref_distance = 10.0                # m
+    noise_temp = 300.0                 # K
+    noise_figure_db = 9.0
 
     @property
     def rb_bits(self) -> float:

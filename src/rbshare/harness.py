@@ -116,8 +116,6 @@ def _typed(parser, value) -> bool:
 # parser, rule). Building an `ExperimentConfig` checks every rule, in this
 # order; a rule may name only a key above it.
 _KEYS = {
-    "channel.carrier_freq": ("channel", "carrier_freq", float, "(0, inf)"),
-    "channel.ref_distance": ("channel", "ref_distance", float, "(0, inf)"),
     "channel.path_loss_exponent": ("channel", "path_loss_exponent", float, "[0, inf)"),
     "channel.shadowing_sigma": ("channel", "shadowing_sigma", float, "[0, inf)"),
     "channel.corr_param": ("channel", "corr_param", float, "[0, 1]"),
@@ -127,8 +125,6 @@ _KEYS = {
     "channel.tx_power": ("channel", "tx_power_total", float, "[0, inf)"),
     "channel.rb_bandwidth": ("channel", "rb_bandwidth", float, "(0, inf)"),
     "channel.num_rbs": ("channel", "num_rbs", int, "[1, inf)"),
-    "channel.noise_temp": ("channel", "noise_temp", float, "(0, inf)"),
-    "channel.noise_figure": ("channel", "noise_figure_db", float, "[0, inf)"),
     "traffic.rate": ("root", "rate", str, tr.RATE_PROFILES),
     "env.buffer_len": ("root", "buffer_len", int, "[1, inf)"),
     "env.continuity_len": ("root", "continuity_len", int, "[1, inf)"),
@@ -159,9 +155,16 @@ _KEYS = {
 }
 
 
-# Retired keys -> the one value a config may still give them, the value
-# every `config_echo.txt` written before the retirement holds.
-_RETIRED = {"channel.rb_duration": 1e-3}
+# Retired keys -> (the one value a config may still give them, the value
+# every `config_echo.txt` written before the retirement holds; why).
+_SNR_ONLY = "it only scales every link's SNR, as channel.tx_power does"
+_RETIRED = {
+    "channel.rb_duration": (ch.ChannelParams.rb_duration, "the time step is fixed at 1 ms"),
+    "channel.carrier_freq": (ch.ChannelParams.carrier_freq, _SNR_ONLY),
+    "channel.ref_distance": (ch.ChannelParams.ref_distance, _SNR_ONLY),
+    "channel.noise_temp": (ch.ChannelParams.noise_temp, _SNR_ONLY),
+    "channel.noise_figure": (ch.ChannelParams.noise_figure_db, _SNR_ONLY),
+}
 
 
 def _values(config: ExperimentConfig) -> dict:
@@ -198,11 +201,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     kwargs: dict = {"channel": {}, "agent": {}, "root": {}}
     for where, key, value in settings:
         if key in _RETIRED:
+            fixed, reason = _RETIRED[key]
             with contextlib.suppress(ValueError):
-                if float(value) == _RETIRED[key]:
+                if float(value) == fixed:
                     continue
-            raise ConfigError(f"{where}{key}: retired, as the time step is fixed at 1 ms; "
-                              f"it may only be {_RETIRED[key]}, got {value!r}")
+            raise ConfigError(f"{where}{key}: retired, as {reason}; "
+                              f"it may only be {fixed}, got {value!r}")
         if key not in _KEYS:
             raise ConfigError(f"{where}unknown key {key!r}")
         section, attr, parser, _ = _KEYS[key]

@@ -12,18 +12,49 @@ def params(**overrides):
     return ch.ChannelParams(**overrides)
 
 
+def with_constants(**constants):
+    """A `ChannelParams` subclass whose class constants `constants` replace."""
+    return type("ChannelParams", (ch.ChannelParams,), constants)
+
+
 class TestFreeSpaceConstant:
     def test_reference_value(self):
         assert ch.free_space_constant(params()) == pytest.approx(-52.44, abs=0.01)
 
     def test_unit_argument_gives_zero(self):
-        p = params(ref_distance=1.0, carrier_freq=ch.SPEED_OF_LIGHT / (4 * math.pi))
+        p = with_constants(ref_distance=1.0, carrier_freq=ch.SPEED_OF_LIGHT / (4 * math.pi))()
         assert ch.free_space_constant(p) == pytest.approx(0.0, abs=1e-9)
 
     def test_doubling_distance_drops_6db(self):
-        k1 = ch.free_space_constant(params(ref_distance=10.0))
-        k2 = ch.free_space_constant(params(ref_distance=20.0))
+        k1 = ch.free_space_constant(with_constants(ref_distance=10.0)())
+        k2 = ch.free_space_constant(with_constants(ref_distance=20.0)())
         assert k1 - k2 == pytest.approx(20 * math.log10(2), abs=1e-9)
+
+
+# Each constant, n being the path-loss exponent, and the `tx_power_total`
+# factor that gives every link the same SNR: README "Configuration".
+SNR_SCALES = {
+    "carrier_freq": (2e9, lambda f, n: (1e9 / f) ** 2),
+    "ref_distance": (20.0, lambda d0, n: (d0 / 10.0) ** (n - 2.0)),
+    "noise_temp": (290.0, lambda t, n: 300.0 / t),
+    "noise_figure_db": (7.0, lambda nf, n: 10.0 ** ((9.0 - nf) / 10.0)),
+}
+
+
+@pytest.mark.parametrize("name", SNR_SCALES)
+def test_constant_only_scales_snr(name):
+    """Moving one of these constants off its value gives the same per-RB bits,
+    link by link, as scaling `tx_power_total` by its factor: so `channel.tx_power`
+    is the one SNR setting a config needs. Out to 1 km, so the CQIs spread."""
+    value, factor = SNR_SCALES[name]
+    moved = with_constants(**{name: value})(dist_max=1000.0)
+    p = params(dist_max=1000.0)
+    scaled = params(dist_max=1000.0, tx_power_total=p.tx_power_total
+                    * factor(value, p.path_loss_exponent))
+    rng, twin = np.random.default_rng(20), np.random.default_rng(20)
+    bits = [ch.draw_link(moved, rng)[1] for _ in range(2000)]
+    assert bits == [ch.draw_link(scaled, twin)[1] for _ in range(2000)]
+    assert len({b for link in bits for b in link}) == 16  # every CQI occurs
 
 
 class TestLargeScale:
@@ -105,7 +136,7 @@ class TestNoiseAndSinr:
         assert ch.noise_power(params()) == pytest.approx(5.92e-15, rel=1e-3)
 
     def test_noise_floor_without_figure(self):
-        assert ch.noise_power(params(noise_figure_db=0.0)) == pytest.approx(
+        assert ch.noise_power(with_constants(noise_figure_db=0.0)()) == pytest.approx(
             7.455e-16, rel=1e-3
         )
 

@@ -8,10 +8,13 @@ values below. A change that is meant to leave every number alone (a refactor
 or a speed-up) must keep this test passing. A change that alters the numbers
 re-pins them and says why.
 
-The last re-pin changed no number. `channel.rb_duration` stopped being a
-config key, as the time step is fixed at 1 ms, so each `config_echo.txt`
-lost its `channel.rb_duration = 0.001` line and its hash moved; every other
-line is unchanged. No `summary.json`, CSV or `qnetwork.npz` hash moved.
+The last re-pin changed no number. `channel.carrier_freq`,
+`channel.ref_distance`, `channel.noise_temp` and `channel.noise_figure`
+stopped being config keys, as each only scaled every link's SNR, as
+`channel.tx_power` does; they are `ChannelParams` constants with their old
+values. So each `config_echo.txt` lost those four lines and its hash moved;
+every other line is unchanged. No `summary.json`, CSV or `qnetwork.npz` hash
+moved.
 
 Scope: the fingerprints are bitwise on one machine and one BLAS build
 (OpenBLAS 0.3.31, Haswell kernel, numpy 2.4). Every run goes through linear
@@ -73,14 +76,14 @@ def run_fingerprint(name: str) -> dict:
 
 GOLDEN = {
     'dqn': {
-        'config_echo.txt': '8768f2311e64b7b38d8c299d504f5b3e9f345c5ef61e968389c4f3d7a5567e05',
+        'config_echo.txt': 'ec01222ac31ddbb43061bbe861919b7c7cfd91346b4351e7495a682daa736dc2',
         'latency_type1.csv': '9b40515f561652ee020ad16cf1e9ff6dd3aefdb393c46a7aa14b4ec16351b312',
         'learning_curve.csv': '48b07296190fc19ba1dc983626363666d3663a5b1a106b940adc2fb32117bd95',
         'qnetwork.npz': 'f2232d269d34af2dcfcf964195cad74fe64b707c1a62016ed97e7ca23da853b2',
         'summary.json': 'b05839c74492be709eb0c9ebe6e2a3966b062a17f7f2bb3bb8c90e01f49b1c2c',
     },
     'mt': {
-        'config_echo.txt': '8c3b7ddfe6d2ccafc92577289856f2b4fc7b7d203f3744e4d6cd3b1b4d108cde',
+        'config_echo.txt': '93f12fc59ed2195d10a8d0da95456db534acb0af0512c5429dc015291441c4a0',
         'latency_type1.csv': '91d84de2c3b21260c5d31034615b4cea9c189b95cb57779437028cb10f9aa1b0',
         'latency_type2.csv': '38a3237e3d39e2a57d7881949904bb5b9372b1ede73b38c70cbd46e6c88db09f',
         'latency_type3.csv': 'ddc32c9c2d29e2535f13a46f6e3b7380c9c2e79b229ab712423d3806246686d4',
@@ -88,7 +91,7 @@ GOLDEN = {
         'summary.json': '1ed6b1a945f3cbe70c5e7304f6d5489557bf89ae236b29b68ed35900405e8193',
     },
     'ml+f': {
-        'config_echo.txt': 'b529026e64a461bd6875149ae3e4564418b0583f09613c0a0596db126f382dc6',
+        'config_echo.txt': 'a97d1d5f629a0cb1c0f8021e38cbcbabcb71adef8a438326002b5e2d7d39c557',
         'latency_type1.csv': 'fbc7155a052cc16c29e8c13e3b06a440b6e9e9a7481ad11c1462fc3662325dc5',
         'latency_type2.csv': '38e8b3b93c0b5c584af5b9103926b9f67c9fba55924de1d148616d4a225f1b90',
         'latency_type3.csv': '8f03cc5dcd4a1448f81a9ceec2ecff095bfabbe6de8b81fc0c9bd4578fadf890',
@@ -96,21 +99,21 @@ GOLDEN = {
         'summary.json': '8af82c8221e905cf2a23fbea9e2d447cb9b56febd838cd9c5abc110aaa16f264',
     },
     'random': {
-        'config_echo.txt': '74e4aaa6760c1ce902266c0df54da457751cb45b4e74e217b51e16a4309ec7a5',
+        'config_echo.txt': '297327885a9bd2796b4ca534826dedf23062effbd1d0f8ca03f87d6d0a7ab67e',
         'latency_type1.csv': '9f54e16e52695df299540adcbd4037025cfce726d3b202f775e1a98907c6f202',
         'latency_type2.csv': '90bfac4478682019579935e3d39537e459e2c00d2b48a629cb7b3122a98da75a',
         'learning_curve.csv': '2680da150ecb5dd521dce3dba178d2891fa89f9ad7bbde23821423c47add6a6e',
         'summary.json': 'ddc1ed008a71e66d0d520638c87c08ae1897c732a9f63ab6dcf9da796fb9f7f3',
     },
     'dqn-shaped': {
-        'config_echo.txt': '7607f61bfd08412292e00faebdbfea135a9dd1fc7626f609c4b7da49fd382934',
+        'config_echo.txt': '7316953fc347e021ddaad7c654428b50fda62b26d1554946ca5dc274386ba3fb',
         'latency_type1.csv': '7305a9c95d1d08b3b45e6d90acb068684105ca873d9bb3414a8beb8c0272595e',
         'learning_curve.csv': 'e95079b355f7122cbe7c58998797ef1cc0cf464fe0df23065405b598b2c9ce4f',
         'qnetwork.npz': '3448cec1f14a3c4bfdec62c01bc2b533938736ceb0310a27a790d5ecf5cff3b3',
         'summary.json': 'f326e1a924eea7000765675a74431db492ae2d000aa48926f2106a226c60216c',
     },
     'mt+f-low': {
-        'config_echo.txt': 'd4453d1b67ecc29b185cf6f3db7e5f0ff34f28123113067acd719fb11c8d62e1',
+        'config_echo.txt': '09830a6aca40fa548289fbed84667ab3995979db1531b356181686e6c70ac904',
         'latency_type1.csv': '864946e26c7e6aeb563c67f65857bf18b56e7e2da591f6f4f22953c13dced228',
         'latency_type2.csv': 'b4b0d2de7b301e47136194ead0229e12d90d442c0f573dd8ee7cabd9e6da144e',
         'latency_type3.csv': 'e3105f5dd0d2433c6f0deafecb755b0861fd8f02d86add89c7d84b4f4ee5f552',
@@ -118,7 +121,7 @@ GOLDEN = {
         'summary.json': '7e43a946eb25d468bf6edf16db4810812b1a7963cf1349d81de054be8004d7e8',
     },
     'dqn-wrap': {
-        'config_echo.txt': '1cb4e640b26f6b376c22da6f86d8dbafa58cb13a78e432050130275958241173',
+        'config_echo.txt': '62ea0c20113c08f29d9abd67015950ef10f08d31d964e44bd43defd2f87a7b77',
         'latency_type1.csv': '229e6dec2ee13e4a612a382849d838d8b15ac3ee4de7a16524309aa31757ca85',
         'latency_type2.csv': '8c4e4c84747df2576532f8fabdd591b499912d60745bd4b63928d704bf93b8cc',
         'latency_type3.csv': 'e6f87ab0bc446062438ece73f0485fefb785796f60f76940d926e244fc0c1a13',

@@ -28,12 +28,10 @@ def write_config(tmp_path, text, name="exp.cfg"):
 
 # A valid value other than the default for every config key.
 NON_DEFAULT_VALUES = {
-    "channel.carrier_freq": "2e9", "channel.ref_distance": "5",
     "channel.path_loss_exponent": "3", "channel.shadowing_sigma": "4.1",
     "channel.corr_param": "0.5", "channel.coherence_time": "6",
     "channel.dist_min": "20", "channel.dist_max": "250", "channel.tx_power": "0.2",
-    "channel.rb_bandwidth": "360e3", "channel.num_rbs": "8", "channel.noise_temp": "290",
-    "channel.noise_figure": "7.5",
+    "channel.rb_bandwidth": "360e3", "channel.num_rbs": "8",
     "traffic.rate": "low", "env.buffer_len": "20", "env.continuity_len": "3",
     "reward.alpha": "0.5", "reward.beta": "2", "reward.delta": "1.5",
     "agent.gamma": "0.5", "agent.learning_rate": "0.001", "agent.replay_capacity": "1000",
@@ -112,13 +110,13 @@ class TestLoadConfig:
         # Values that used to load and then stop a run midway: a math domain
         # error, a division by zero, numpy's argument checks, or (with the
         # default DQN policy) a NaN reward reported as diverged training.
-        "channel.dist_min = -50", "channel.tx_power = -1", "channel.carrier_freq = inf",
+        "channel.dist_min = -50", "channel.tx_power = -1",
         "run.seed = -1", "agent.init_std = -1",
         "reward.delta = nan",
         # Values that used to load, or failed under a key that does not exist.
         "env.buffer_len = 0", "env.continuity_len = 0",
         "channel.path_loss_exponent = nan", "channel.shadowing_sigma = nan",
-        "channel.noise_figure = nan", "channel.shadowing_sigma = -5",
+        "channel.shadowing_sigma = -5",
         "reward.alpha = inf", "agent.learning_rate = inf", "agent.hidden = 0,8",
     ])
     def test_bad_agent_setting_names_key(self, tmp_path, setting):
@@ -208,32 +206,80 @@ run.licensed_rbs = 4
         assert cfg.policy == "mt+f"
 
 
-# The time step is fixed at 1 ms, so `channel.rb_duration` is no longer a
-# key. Its one value still loads, as every `config_echo.txt` written while it
-# was a key holds it.
+def assert_accepted(tmp_path, key, value):
+    """`key = value` loads as the default config, from a file and as an override."""
+    assert load_config(write_config(tmp_path, f"{key} = {value}\n")) == \
+        load_config(write_config(tmp_path, "", "empty.cfg"), {key: value}) == ExperimentConfig()
+
+
+def assert_refused(tmp_path, key, value, message):
+    """`key = value` fails with `message`, after the file and line from a file."""
+    path = write_config(tmp_path, f"run.episodes = 2\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(write_config(tmp_path, "", "empty.cfg"), {key: value})
+
+
+# Four channel keys only scaled every link's SNR, as `channel.tx_power` does
+# (`test_channel.py::test_constant_only_scales_snr`). Key -> (its
+# `ChannelParams` constant, its value as every `config_echo.txt` written while
+# it was a key holds it, another value).
+SNR_KEYS = {
+    "channel.carrier_freq": ("carrier_freq", "1000000000.0", "2e9"),
+    "channel.ref_distance": ("ref_distance", "10.0", "5"),
+    "channel.noise_temp": ("noise_temp", "300.0", "290"),
+    "channel.noise_figure": ("noise_figure_db", "9.0", "7"),
+}
+
+
+# Retired keys are constants now. Each one's old value still loads, as every
+# `config_echo.txt` written while it was a key holds it.
 class TestRetiredKey:
+    def test_echo_has_33_lines(self):
+        assert len(harness.config_echo(ExperimentConfig()).splitlines()) == 33
+
+    # The time step is fixed at 1 ms.
     def test_duration_is_a_constant(self):
         assert "channel.rb_duration" not in harness._KEYS
         assert ch.ChannelParams.rb_duration == 1e-3
         with pytest.raises(TypeError):
             ch.ChannelParams(rb_duration=1e-3)
-        assert len(harness.config_echo(ExperimentConfig()).splitlines()) == 37
 
     @pytest.mark.parametrize("value", ["0.001", "1e-3"])
     def test_fixed_value_accepted(self, tmp_path, value):
-        assert load_config(write_config(tmp_path, f"channel.rb_duration = {value}\n")) == \
-            load_config(write_config(tmp_path, "", "empty.cfg"), {"channel.rb_duration": value}) \
-            == ExperimentConfig()
+        assert_accepted(tmp_path, "channel.rb_duration", value)
 
-    @pytest.mark.parametrize("value", ["5e-4", "0", "abc"])
+    @pytest.mark.parametrize("value", ["5e-4", "0", "nan", "abc"])
     def test_other_value_refused(self, tmp_path, value):
-        message = "channel.rb_duration: retired, as the time step is fixed at 1 ms; " \
-                  f"it may only be 0.001, got '{value}'"
-        path = write_config(tmp_path, f"run.episodes = 2\nchannel.rb_duration = {value}\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
-            load_config(path)
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            load_config(write_config(tmp_path, "", "empty.cfg"), {"channel.rb_duration": value})
+        assert_refused(tmp_path, "channel.rb_duration", value,
+                       "channel.rb_duration: retired, as the time step is fixed at 1 ms; "
+                       f"it may only be 0.001, got '{value}'")
+
+    @pytest.mark.parametrize("key", SNR_KEYS)
+    def test_snr_key_is_a_constant(self, key):
+        attr, old, _ = SNR_KEYS[key]
+        assert key not in harness._KEYS
+        assert getattr(ch.ChannelParams, attr) == float(old)
+        with pytest.raises(TypeError):
+            ch.ChannelParams(**{attr: float(old)})
+
+    @pytest.mark.parametrize("key", SNR_KEYS)
+    def test_snr_key_old_value_accepted(self, tmp_path, key):
+        _, old, _ = SNR_KEYS[key]
+        assert_accepted(tmp_path, key, old)
+        assert_accepted(tmp_path, key, f"{float(old):e}")
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, value) for key, (_, _, other) in SNR_KEYS.items()
+          for value in (other, "nan", "abc")),
+        ("channel.carrier_freq", "inf"),
+    ])
+    def test_snr_key_other_value_refused(self, tmp_path, key, value):
+        _, old, _ = SNR_KEYS[key]
+        assert_refused(tmp_path, key, value,
+                       f"{key}: retired, as it only scales every link's SNR, as "
+                       f"channel.tx_power does; it may only be {old}, got '{value}'")
 
 
 def with_value(key, value) -> ExperimentConfig:
@@ -829,12 +875,13 @@ class TestCli:
                       "to compare\n"
 
     def test_retired_key_value_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "run.policy = mt\nchannel.rb_duration = 5e-4\n")
+        cfg = write_config(tmp_path, "run.policy = mt\nchannel.noise_figure = 7\n")
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.count("\n") == 1
-        assert err.startswith(f"error: {cfg}:2: channel.rb_duration: retired, as the time step ")
+        assert err.startswith(f"error: {cfg}:2: channel.noise_figure: retired, as it only "
+                              "scales every link's SNR, as channel.tx_power does; ")
         assert not out.exists()
 
     def test_non_utf8_config_names_file(self, tmp_path, capsys):
@@ -887,19 +934,27 @@ class TestCli:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path / "config_echo.txt") in err
 
-    # Directories written while `channel.rb_duration` was a key echo it as
-    # 0.001 after `channel.rb_bandwidth`, and still compare.
+    # Directories written while the five retired keys were keys echo each
+    # at its old value, after the key their echo held before it (none
+    # before `channel.carrier_freq`), and still compare.
     def test_compare_reads_echo_with_retired_key(self, tmp_path, capsys):
+        old_lines = [(None, "channel.carrier_freq = 1000000000.0"),
+                     ("channel.carrier_freq", "channel.ref_distance = 10.0"),
+                     ("channel.rb_bandwidth", "channel.rb_duration = 0.001"),
+                     ("channel.num_rbs", "channel.noise_temp = 300.0"),
+                     ("channel.noise_temp", "channel.noise_figure = 9.0")]
         dirs = [tmp_path / "r0", tmp_path / "r1"]
         for seed, out in enumerate(dirs):
             harness.run(tiny_config(seed=seed), out_dir=out)
         table = harness.compare(dirs)
         for out in dirs:
             echo = out / "config_echo.txt"
-            lines = echo.read_text().splitlines(keepends=True)
-            lines.insert(10, "channel.rb_duration = 0.001\n")
-            assert lines[9].startswith("channel.rb_bandwidth = ")
-            echo.write_text("".join(lines))
+            lines = echo.read_text().splitlines()
+            for before, line in old_lines:
+                keys = [text.split(" = ")[0] for text in lines]
+                lines.insert(0 if before is None else keys.index(before) + 1, line)
+            assert len(lines) == len(harness._KEYS) + 5
+            echo.write_text("\n".join(lines) + "\n")
         assert cli.main(["compare", *map(str, dirs)]) == 0
         assert capsys.readouterr().out == table + "\n"
         assert len(table.splitlines()) == 2 and table.splitlines()[1].startswith("mt ")
