@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import copy
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib import format as npy
 
 from rbshare.environment import SchedulingEnv
 
@@ -110,7 +112,7 @@ class MLP:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             arrays[f"w{i}"] = w
             arrays[f"b{i}"] = b
-        np.savez(path, **arrays)
+        write_npz(path, arrays)
 
     @classmethod
     def load(cls, path) -> "MLP":
@@ -124,6 +126,19 @@ class MLP:
                 net.weights[i] = data[f"w{i}"]
                 net.biases[i] = data[f"b{i}"]
         return net
+
+
+def write_npz(file, arrays: dict[str, np.ndarray]):
+    """Write `arrays` to `file`, a path or a binary file, as the uncompressed
+    npz `np.savez` makes, each array row-major, but with its buffer handed to
+    the zip as a memoryview: `np.savez` copies it with `tobytes()` in chunks
+    of up to 16 MiB first. A path is written as given; no `.npz` is appended."""
+    with zipfile.ZipFile(file, "w") as zf:
+        for name, a in arrays.items():
+            a = np.asarray(a, order="C")
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(a))
+                member.write(a.reshape(-1).view(np.uint8).data)
 
 
 def sync_target(main: MLP, target: MLP):

@@ -115,7 +115,9 @@ def _sqrt_correlation(omega: float, num_rbs: int) -> np.ndarray:
 def _fading_draws(n: int, params: ChannelParams, rng: np.random.Generator) -> list:
     """n correlated Rayleigh draws, each a unit-power complex gain per RB, from
     one normal draw with the values and stream of n draws of 2R. The product stays
-    one `root @ z` per draw: `z @ root.T` is another BLAS kernel, with other bits."""
+    one `root @ z` per draw because a whole redraw is faster with it; `z @ root.T`,
+    another BLAS kernel, moves the last bits of most rows but no deliverable bit
+    (README "Performance")."""
     r = params.num_rbs
     x = rng.standard_normal((n, 2, r))
     z = (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)

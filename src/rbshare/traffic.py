@@ -43,10 +43,6 @@ def service_catalog(rate_profile: str) -> list[ServiceType]:
     ]
 
 
-def sample_interarrival(mean: float, rng: np.random.Generator) -> float:
-    return mean * rng.standard_exponential()  # what `rng.exponential(mean)` computes
-
-
 def generate_arrivals(
     catalog: list[ServiceType], horizon: int, rng: np.random.Generator
 ) -> list[Request]:
@@ -58,9 +54,9 @@ def generate_arrivals(
     """
     requests: list[Request] = []
     for svc in catalog:
-        t = sample_interarrival(svc.mean_interarrival, rng)
+        t = rng.exponential(svc.mean_interarrival)
         while t < horizon:
             requests.append(Request(math.ceil(t), svc))
-            t += sample_interarrival(svc.mean_interarrival, rng)
+            t += rng.exponential(svc.mean_interarrival)
     requests.sort(key=lambda r: (r.arrival_step, r.service.id))
     return requests

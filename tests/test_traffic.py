@@ -24,22 +24,6 @@ class TestCatalog:
             assert (a.pdu_bits, a.max_latency) == (b.pdu_bits, b.max_latency)
 
 
-class TestInterarrival:
-    def test_mean(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([tr.sample_interarrival(10.0, rng) for _ in range(100_000)])
-        assert 9.9 <= draws.mean() <= 10.1
-
-    def test_positive_support(self):
-        rng = np.random.default_rng(1)
-        assert all(tr.sample_interarrival(10.0, rng) > 0 for _ in range(1000))
-
-    def test_variance(self):
-        rng = np.random.default_rng(2)
-        draws = np.array([tr.sample_interarrival(10.0, rng) for _ in range(100_000)])
-        assert draws.var() == pytest.approx(100.0, abs=3.0)
-
-
 class TestArrivals:
     @pytest.mark.parametrize("rate", tr.RATE_PROFILES)
     def test_matches_exponential_draws(self, rate):
