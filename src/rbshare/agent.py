@@ -341,7 +341,8 @@ def random_policy(rng: np.random.Generator) -> CallablePolicy:
 
 def fixed_split(action, licensed_rbs: int) -> CallablePolicy:
     """Reserve RBs above `licensed_rbs` permanently for unlicensed use;
-    `action` (`mt_action` or `ml_action`) decides on the others."""
+    `action` (`mt_action` or `ml_action`) decides on the others. A share of
+    R or more reserves nothing."""
 
     def act(env: SchedulingEnv) -> int:
         return action(env) if env.psi <= licensed_rbs else 0

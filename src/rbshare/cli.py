@@ -45,7 +45,7 @@ def main(argv=None) -> int:
                 print(f"artifacts written to {artifacts.out_dir}")
         else:
             print(harness.compare(args.dirs))
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDiverged as exc:

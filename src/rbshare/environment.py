@@ -200,10 +200,8 @@ class SchedulingEnv:
             # Paid only if the buffer held a request as the last RB began.
             if not was_empty:
                 # Smallest normalized TTL; 1.0 once this step emptied the buffer.
-                # `delta = inf` forces the latency factor to 1, so no scan then.
-                min_ttl = 1.0 if self.delta == math.inf else min(
-                    (entry.ttl / entry.service.max_latency
-                     for entry in self.buffer if entry is not None), default=1.0)
+                min_ttl = min((entry.ttl / entry.service.max_latency
+                               for entry in self.buffer if entry is not None), default=1.0)
                 reward += aggregate_reward(self.r1, sum(vacant), min_ttl,
                                            self.alpha, self.beta, self.delta, self.R)
             resolved, accepted, dropped = self._advance_time_step(resolved)

@@ -146,24 +146,12 @@ _KEYS = {
     "agent.eps_inf": ("agent", "eps_inf", float, "[0, agent.eps0]"),
     "agent.eps_decay_steps": ("agent", "eps_decay_steps", int, "[1, inf)"),
     "run.policy": ("root", "policy", str, POLICIES),
-    "run.licensed_rbs": ("root", "licensed_rbs", int, "[1, channel.num_rbs]"),
+    "run.licensed_rbs": ("root", "licensed_rbs", int, "[1, inf)"),
     "run.episodes": ("root", "episodes", int, "[1, inf)"),
     "run.steps_per_episode": ("root", "steps_per_episode", int, "[1, inf)"),
     "run.seed": ("root", "seed", int, "[0, inf)"),
     "run.eval_set": ("root", "eval_set", _parse_bool, _BOOL),
     "run.checkpoint": ("root", "checkpoint", _parse_bool, _BOOL),
-}
-
-
-# Retired keys -> (the one value a config may still give them, the value
-# every `config_echo.txt` written before the retirement holds; why).
-_SNR_ONLY = "it only scales every link's SNR, as channel.tx_power does"
-_RETIRED = {
-    "channel.rb_duration": (ch.ChannelParams.rb_duration, "the time step is fixed at 1 ms"),
-    "channel.carrier_freq": (ch.ChannelParams.carrier_freq, _SNR_ONLY),
-    "channel.ref_distance": (ch.ChannelParams.ref_distance, _SNR_ONLY),
-    "channel.noise_temp": (ch.ChannelParams.noise_temp, _SNR_ONLY),
-    "channel.noise_figure": (ch.ChannelParams.noise_figure_db, _SNR_ONLY),
 }
 
 
@@ -200,13 +188,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     kwargs: dict = {"channel": {}, "agent": {}, "root": {}}
     for where, key, value in settings:
-        if key in _RETIRED:
-            fixed, reason = _RETIRED[key]
-            with contextlib.suppress(ValueError):
-                if float(value) == fixed:
-                    continue
-            raise ConfigError(f"{where}{key}: retired, as {reason}; "
-                              f"it may only be {fixed}, got {value!r}")
         if key not in _KEYS:
             raise ConfigError(f"{where}unknown key {key!r}")
         section, attr, parser, _ = _KEYS[key]
@@ -295,8 +276,7 @@ def _record(run: Run):
     # An earlier run into this directory may have left files this one did not write.
     kept = {f"latency_type{svc_id}.csv" for svc_id in metrics.latency} | \
         ({"qnetwork.npz"} if checkpoint else set())
-    for path in [*out_path.glob("latency_type*.csv"), out_path / "qnetwork.npz",
-                 out_path / "seed.txt"]:    # older versions wrote a seed.txt
+    for path in [*out_path.glob("latency_type*.csv"), out_path / "qnetwork.npz"]:
         if path.name not in kept:
             path.unlink(missing_ok=True)
 
@@ -434,7 +414,8 @@ def compare(artifact_dirs: list) -> str:
     for config, summary in runs:
         label = config.policy
         if label.endswith("+f"):
-            label += f"({config.licensed_rbs}/{config.channel.num_rbs - config.licensed_rbs})"
+            free = max(config.channel.num_rbs - config.licensed_rbs, 0)
+            label += f"({config.licensed_rbs}/{free})"
         groups.setdefault(label, []).append((config, summary))
 
     header = f"{'policy':<14}" + "".join(f"{m:>28}" for m in _COMPARED)

@@ -187,10 +187,9 @@ CHANNEL_FIELDS = {f.name for f in dataclasses.fields(ChannelParams)}
 def make_env(steps=50, seed=0, **kw):
     """An environment built from the default `ExperimentConfig` with
     `steps` time steps per episode; `kw` sets any of its fields or of
-    `ChannelParams`'s. `licensed_rbs` is 1, so any R is valid: the
-    environment never reads it."""
+    `ChannelParams`'s."""
     channel = ChannelParams(**{k: kw.pop(k) for k in list(kw) if k in CHANNEL_FIELDS})
-    config = ExperimentConfig(channel=channel, steps_per_episode=steps, licensed_rbs=1, **kw)
+    config = ExperimentConfig(channel=channel, steps_per_episode=steps, **kw)
     return seeded_env(config, seed)
 
 

@@ -15,7 +15,7 @@ from conftest import oracle_ml, oracle_mt, seeded_env
 from rbshare import channel as ch
 from rbshare import cli, harness
 from rbshare import traffic as tr
-from rbshare.agent import AgentConfig, DQNPolicy, TrainingDiverged
+from rbshare.agent import AgentConfig, DQNPolicy, ReplayMemory, TrainingDiverged
 from rbshare.environment import SchedulingEnv
 from rbshare.harness import ConfigError, ExperimentConfig, load_config
 
@@ -206,12 +206,6 @@ run.licensed_rbs = 4
         assert cfg.policy == "mt+f"
 
 
-def assert_accepted(tmp_path, key, value):
-    """`key = value` loads as the default config, from a file and as an override."""
-    assert load_config(write_config(tmp_path, f"{key} = {value}\n")) == \
-        load_config(write_config(tmp_path, "", "empty.cfg"), {key: value}) == ExperimentConfig()
-
-
 def assert_refused(tmp_path, key, value, message):
     """`key = value` fails with `message`, after the file and line from a file."""
     path = write_config(tmp_path, f"run.episodes = 2\n{key} = {value}\n")
@@ -233,8 +227,8 @@ SNR_KEYS = {
 }
 
 
-# Retired keys are constants now. Each one's old value still loads, as every
-# `config_echo.txt` written while it was a key holds it.
+# Retired keys are constants now. A config that sets one fails like any
+# other key outside `_KEYS`, whatever the value, the old one included.
 class TestRetiredKey:
     def test_echo_has_33_lines(self):
         assert len(harness.config_echo(ExperimentConfig()).splitlines()) == 33
@@ -246,15 +240,20 @@ class TestRetiredKey:
         with pytest.raises(TypeError):
             ch.ChannelParams(rb_duration=1e-3)
 
-    @pytest.mark.parametrize("value", ["0.001", "1e-3"])
-    def test_fixed_value_accepted(self, tmp_path, value):
-        assert_accepted(tmp_path, "channel.rb_duration", value)
+    # Each removed key at the value every `config_echo.txt` written while it
+    # was a key holds.
+    @pytest.mark.parametrize("key, value", [
+        ("channel.rb_duration", "0.001"),
+        *((key, old) for key, (_, old, _) in SNR_KEYS.items()),
+        ("run.freeze_eval", "false"),
+    ])
+    def test_removed_key_at_old_value_refused(self, tmp_path, key, value):
+        assert_refused(tmp_path, key, value, f"unknown key {key!r}")
 
     @pytest.mark.parametrize("value", ["5e-4", "0", "nan", "abc"])
     def test_other_value_refused(self, tmp_path, value):
         assert_refused(tmp_path, "channel.rb_duration", value,
-                       "channel.rb_duration: retired, as the time step is fixed at 1 ms; "
-                       f"it may only be 0.001, got '{value}'")
+                       "unknown key 'channel.rb_duration'")
 
     @pytest.mark.parametrize("key", SNR_KEYS)
     def test_snr_key_is_a_constant(self, key):
@@ -264,22 +263,13 @@ class TestRetiredKey:
         with pytest.raises(TypeError):
             ch.ChannelParams(**{attr: float(old)})
 
-    @pytest.mark.parametrize("key", SNR_KEYS)
-    def test_snr_key_old_value_accepted(self, tmp_path, key):
-        _, old, _ = SNR_KEYS[key]
-        assert_accepted(tmp_path, key, old)
-        assert_accepted(tmp_path, key, f"{float(old):e}")
-
     @pytest.mark.parametrize("key, value", [
         *((key, value) for key, (_, _, other) in SNR_KEYS.items()
           for value in (other, "nan", "abc")),
         ("channel.carrier_freq", "inf"),
     ])
     def test_snr_key_other_value_refused(self, tmp_path, key, value):
-        _, old, _ = SNR_KEYS[key]
-        assert_refused(tmp_path, key, value,
-                       f"{key}: retired, as it only scales every link's SNR, as "
-                       f"channel.tx_power does; it may only be {old}, got '{value}'")
+        assert_refused(tmp_path, key, value, f"unknown key {key!r}")
 
 
 def with_value(key, value) -> ExperimentConfig:
@@ -404,17 +394,41 @@ class TestRun:
         assert (tmp_path / "qnetwork.npz").exists()
 
     # A rerun into a directory removes the earlier run's checkpoint and
-    # latency CSVs that it does not write itself, and a `seed.txt` that older
-    # versions wrote: `config_echo.txt` alone records the seed.
+    # latency CSVs that it does not write itself.
     def test_rerun_clears_earlier_artifacts(self, tmp_path):
         cfg = tiny_config(policy="dqn", checkpoint=True, episodes=1, steps_per_episode=60)
         harness.run(cfg, out_dir=tmp_path / "out")
         assert (tmp_path / "out" / "qnetwork.npz").exists()
-        (tmp_path / "out" / "seed.txt").write_text("7\n")
         for d in ("out", "fresh"):
             harness.run(tiny_config(), out_dir=tmp_path / d)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
             sorted(p.name for p in (tmp_path / "fresh").iterdir())
+
+    # `agent.hidden =` (empty) builds a linear Q-network, with no hidden
+    # layer; the echo writes it as `agent.hidden = `, which loads back.
+    def test_empty_hidden_is_a_linear_network(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "agent.hidden =\nrun.checkpoint = true\n"
+                                                 "run.episodes = 1\nrun.steps_per_episode = 10\n"))
+        assert cfg.agent.hidden == () and cfg.policy == "dqn"
+        echo = harness.config_echo(cfg)
+        assert "agent.hidden = " in echo.splitlines()
+        assert load_config(write_config(tmp_path, echo, "echo.cfg")) == cfg
+        harness.run(cfg, out_dir=tmp_path / "out")
+        with np.load(tmp_path / "out" / "qnetwork.npz") as data:
+            assert data["layer_sizes"].tolist() == [97, 11]
+
+    # `run.licensed_rbs` is read by the `+f` policies alone, so every policy
+    # plays with fewer RBs than the default share; a share of R or more
+    # reserves nothing, so `+f` plays as its plain policy.
+    @pytest.mark.parametrize("num_rbs", [1, 2, 3])
+    @pytest.mark.parametrize("policy", harness.POLICIES)
+    def test_default_share_above_num_rbs(self, policy, num_rbs):
+        cfg = ExperimentConfig(policy=policy, channel=ch.ChannelParams(num_rbs=num_rbs),
+                               episodes=1, steps_per_episode=10)
+        run = harness.run(cfg)
+        assert run.status == "ok" and run.eval_metrics.time_steps == 10
+        if policy.endswith("+f"):
+            assert run.summary == harness.run(dataclasses.replace(cfg, policy=policy[:-2])).summary
 
     # The DQN plays both sets, each of the full length, and learns in both.
     def test_run_holds_both_dqn_sets(self):
@@ -879,10 +893,22 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
         stdout, err = capsys.readouterr()
-        assert stdout == "" and err.count("\n") == 1
-        assert err.startswith(f"error: {cfg}:2: channel.noise_figure: retired, as it only "
-                              "scales every link's SNR, as channel.tx_power does; ")
+        assert stdout == ""
+        assert err == f"error: {cfg}:2: unknown key 'channel.noise_figure'\n"
         assert not out.exists()
+
+    # A config whose arrays cannot be allocated used to end in numpy's
+    # traceback. No memory is asked for: the replay memory's constructor fails.
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, capacity, state_dim):
+            raise MemoryError(f"cannot allocate a replay memory of {capacity} rows")
+
+        monkeypatch.setattr(ReplayMemory, "__init__", refuse)
+        cfg = write_config(tmp_path, "run.policy = dqn\nagent.replay_capacity = 1000000000\n")
+        assert cli.main(["run", str(cfg)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == "error: cannot allocate a replay memory of 1000000000 rows\n"
 
     def test_non_utf8_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -926,6 +952,14 @@ class TestCli:
         assert cli.main(["compare", str(tmp_path)]) == 0
         assert "mt+f(4/2)" in capsys.readouterr().out
 
+    # A share of R or more reserves nothing: the label's free count is 0.
+    def test_compare_label_of_share_above_num_rbs(self, tmp_path, capsys):
+        (tmp_path / "config_echo.txt").write_text(harness.config_echo(
+            ExperimentConfig(policy="mt+f", channel=ch.ChannelParams(num_rbs=3))))
+        (tmp_path / "summary.json").write_text(json.dumps(SUMMARY))
+        assert cli.main(["compare", str(tmp_path)]) == 0
+        assert "mt+f(4/0)" in capsys.readouterr().out
+
     def test_compare_without_config_echo_names_file(self, tmp_path, capsys):
         harness.run(tiny_config(), out_dir=tmp_path)
         (tmp_path / "config_echo.txt").unlink()
@@ -934,37 +968,16 @@ class TestCli:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path / "config_echo.txt") in err
 
-    # Directories written while the five retired keys were keys echo each
-    # at its old value, after the key their echo held before it (none
-    # before `channel.carrier_freq`), and still compare.
-    def test_compare_reads_echo_with_retired_key(self, tmp_path, capsys):
-        old_lines = [(None, "channel.carrier_freq = 1000000000.0"),
-                     ("channel.carrier_freq", "channel.ref_distance = 10.0"),
-                     ("channel.rb_bandwidth", "channel.rb_duration = 0.001"),
-                     ("channel.num_rbs", "channel.noise_temp = 300.0"),
-                     ("channel.noise_temp", "channel.noise_figure = 9.0")]
-        dirs = [tmp_path / "r0", tmp_path / "r1"]
-        for seed, out in enumerate(dirs):
-            harness.run(tiny_config(seed=seed), out_dir=out)
-        table = harness.compare(dirs)
-        for out in dirs:
-            echo = out / "config_echo.txt"
-            lines = echo.read_text().splitlines()
-            for before, line in old_lines:
-                keys = [text.split(" = ")[0] for text in lines]
-                lines.insert(0 if before is None else keys.index(before) + 1, line)
-            assert len(lines) == len(harness._KEYS) + 5
-            echo.write_text("\n".join(lines) + "\n")
-        assert cli.main(["compare", *map(str, dirs)]) == 0
-        assert capsys.readouterr().out == table + "\n"
-        assert len(table.splitlines()) == 2 and table.splitlines()[1].startswith("mt ")
-
-    # A directory written while `run.freeze_eval` was a key has no config
-    # that loads today.
-    def test_compare_refuses_unknown_key_in_config_echo(self, tmp_path, capsys):
+    # A directory written while `run.freeze_eval` (before commit 0bf3290) or
+    # `channel.rb_duration` (before fdc405c) was a key has no config that
+    # loads today.
+    @pytest.mark.parametrize("line", ["channel.rb_duration = 0.001", "run.freeze_eval = false"],
+                             ids=["channel.rb_duration", "run.freeze_eval"])
+    def test_compare_refuses_unknown_key_in_config_echo(self, tmp_path, capsys, line):
         harness.run(tiny_config(), out_dir=tmp_path)
         echo = tmp_path / "config_echo.txt"
-        echo.write_text(echo.read_text() + "run.freeze_eval = false\n")
+        echo.write_text(echo.read_text() + line + "\n")
         assert cli.main(["compare", str(tmp_path)]) == 1
+        key = line.split(" = ")[0]
         assert capsys.readouterr().err == \
-            f"error: {echo}:{len(harness._KEYS) + 1}: unknown key 'run.freeze_eval'\n"
+            f"error: {echo}:{len(harness._KEYS) + 1}: unknown key {key!r}\n"

@@ -27,10 +27,10 @@ from rbshare.metrics import RunMetrics
 
 @st.composite
 def scenarios(draw) -> harness.ExperimentConfig:
-    num_rbs = draw(st.integers(1, 8))
     return harness.ExperimentConfig(
         # Down to 1, so short episodes redraw the unlicensed link too.
-        channel=ChannelParams(num_rbs=num_rbs, coherence_time=draw(st.integers(1, 13))),
+        channel=ChannelParams(num_rbs=draw(st.integers(1, 8)),
+                              coherence_time=draw(st.integers(1, 13))),
         buffer_len=draw(st.integers(1, 12)),
         continuity_len=draw(st.integers(1, 4)),
         rate=draw(st.sampled_from(tr.RATE_PROFILES)),
@@ -40,7 +40,8 @@ def scenarios(draw) -> harness.ExperimentConfig:
         episodes=draw(st.integers(2, 3)),
         seed=draw(st.integers(0, 2 ** 32 - 1)),
         policy=draw(st.sampled_from(["mt", "ml", "random", "mt+f", "ml+f"])),
-        licensed_rbs=draw(st.integers(1, num_rbs)))
+        # A share at or above R too.
+        licensed_rbs=draw(st.integers(1, 8)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,13 +109,13 @@ def test_accounting_closes(cfg):
 def small_configs(draw) -> harness.ExperimentConfig:
     """A short run of any policy, with a small DQN that trains from its 32nd
     RL step."""
-    num_rbs = draw(st.integers(1, 6))
     return harness.ExperimentConfig(
         policy=draw(st.sampled_from(harness.POLICIES)),
-        channel=ChannelParams(num_rbs=num_rbs, coherence_time=draw(st.integers(1, 13))),
+        channel=ChannelParams(num_rbs=draw(st.integers(1, 6)),
+                              coherence_time=draw(st.integers(1, 13))),
         buffer_len=draw(st.integers(1, 8)),
         rate=draw(st.sampled_from(tr.RATE_PROFILES)),
-        licensed_rbs=draw(st.integers(1, num_rbs)),
+        licensed_rbs=draw(st.integers(1, 8)),
         episodes=draw(st.integers(1, 2)),
         # Short episodes, and ones long enough for a learning-curve row.
         steps_per_episode=draw(st.one_of(st.integers(1, 10), st.integers(100, 160))),
